@@ -16,6 +16,8 @@ func TestCompileErrors(t *testing.T) {
 		{"int f( {", "parse:"},
 		{"int f() { return g; }", "check:"},
 		{"int f() { goto x; }", "parse:"},
+		// A struct member that consumes no token once looped forever.
+		{"struct s { int a; 1 = x */ int b; };\nint f(int x) { return x; }\n", "parse: 1:19"},
 	}
 	for _, c := range cases {
 		_, err := Compile(c.src)

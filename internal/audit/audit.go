@@ -236,6 +236,7 @@ func Run(prog *ir.Prog, opts Options) *Result {
 	lifecycle := obs.Guarded(o.Observer)
 
 	cctx := newCorpusCtx(prog, o.Corpus)
+	code := compileShared(prog, o)
 
 	jobs := o.Jobs
 	if jobs > len(o.Toplevels) && len(o.Toplevels) > 0 {
@@ -248,7 +249,7 @@ func Run(prog *ir.Prog, opts Options) *Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				entries[i] = auditOne(prog, o, i, lifecycle, cctx)
+				entries[i] = auditOne(prog, code, o, i, lifecycle, cctx)
 				if o.OnEntry != nil {
 					notifyEntry(o.OnEntry, entries[i])
 				}
@@ -321,11 +322,29 @@ func notifyEntry(fn func(Entry), e Entry) {
 	fn(e)
 }
 
+// compileShared lowers prog once for the whole pass: the compiled image
+// is immutable, so every search and suite replay of the batch shares it
+// instead of compiling per function.  Nil under Interpreter — and if
+// compiling panics, so that each search compiles (and faults) behind its
+// own recover barrier instead of taking the batch down.
+func compileShared(prog *ir.Prog, o Options) (code *machine.Compiled) {
+	if o.Interpreter {
+		return nil
+	}
+	defer func() {
+		if recover() != nil {
+			code = nil
+		}
+	}()
+	return machine.Compile(prog)
+}
+
 // auditOne searches one function under its own deadline and recover
 // barrier.  The engine already isolates per-run and per-solve panics;
 // this barrier is the last line of defense for anything that escapes it,
-// so a worker goroutine can never die and wedge the pool.
-func auditOne(prog *ir.Prog, o Options, i int, lifecycle obs.Sink, cctx *corpusCtx) (entry Entry) {
+// so a worker goroutine can never die and wedge the pool.  code is the
+// pass's shared compiled image (nil: interpreter, or compile per search).
+func auditOne(prog *ir.Prog, code *machine.Compiled, o Options, i int, lifecycle obs.Sink, cctx *corpusCtx) (entry Entry) {
 	entry = Entry{Function: o.Toplevels[i]}
 	start := time.Now()
 	if lifecycle != nil {
@@ -349,14 +368,14 @@ func auditOne(prog *ir.Prog, o Options, i int, lifecycle obs.Sink, cctx *corpusC
 
 	search := func() {
 		if cctx != nil {
-			if rep, ok := cctx.tryWarm(prog, o, i, lifecycle); ok {
+			if rep, ok := cctx.tryWarm(prog, code, o, i, lifecycle); ok {
 				entry.Report = rep
 				entry.Status = statusOf(rep)
 				entry.CachedByCorpus = true
 				return
 			}
 		}
-		rep, err := searchOne(prog, o, i, o.MaxRuns, cctx)
+		rep, err := searchOne(prog, code, o, i, o.MaxRuns, cctx)
 		if err != nil {
 			entry.Status, entry.Err = Faulted, err.Error()
 			return
@@ -366,7 +385,7 @@ func auditOne(prog *ir.Prog, o Options, i int, lifecycle obs.Sink, cctx *corpusC
 			// but a smaller search may finish inside it, upgrading a timeout
 			// into a (shallower) complete result.
 			entry.Retried = true
-			if rep2, err2 := searchOne(prog, o, i, o.RetryRuns, cctx); err2 == nil {
+			if rep2, err2 := searchOne(prog, code, o, i, o.RetryRuns, cctx); err2 == nil {
 				rep = rep2
 			}
 		}
@@ -390,7 +409,7 @@ func auditOne(prog *ir.Prog, o Options, i int, lifecycle obs.Sink, cctx *corpusC
 
 // searchOne runs the directed (or random) search for function i with the
 // batch-derived seed and the per-function supervision budgets.
-func searchOne(prog *ir.Prog, o Options, i, maxRuns int, cctx *corpusCtx) (*concolic.Report, error) {
+func searchOne(prog *ir.Prog, code *machine.Compiled, o Options, i, maxRuns int, cctx *corpusCtx) (*concolic.Report, error) {
 	copts := concolic.Options{
 		Toplevel:        o.Toplevels[i],
 		Depth:           o.Depth,
@@ -413,6 +432,7 @@ func searchOne(prog *ir.Prog, o Options, i, maxRuns int, cctx *corpusCtx) (*conc
 		CollectExplain: o.CollectExplain,
 		StallWindow:    o.StallWindow,
 		Interpreter:    o.Interpreter,
+		Compiled:       code,
 	}
 	if cctx != nil {
 		// Record runs for suite distillation and layer the corpus's

@@ -79,7 +79,7 @@ func optionsSig(o Options, i int) string {
 // replayOpts is the concrete-execution slice of the batch options:
 // exactly what ReplaySuite and Replay need to reproduce the machines
 // the cold search ran.
-func replayOpts(o Options, i int) concolic.Options {
+func replayOpts(o Options, i int, code *machine.Compiled) concolic.Options {
 	return concolic.Options{
 		Toplevel:    o.Toplevels[i],
 		Depth:       o.Depth,
@@ -88,6 +88,7 @@ func replayOpts(o Options, i int) concolic.Options {
 		Timeout:     o.Timeout,
 		Cancel:      o.Cancel,
 		Interpreter: o.Interpreter,
+		Compiled:    code,
 	}
 }
 
@@ -95,7 +96,7 @@ func replayOpts(o Options, i int) concolic.Options {
 // (report, true) only when the stored entry passed every gate; any
 // failure emits a CorpusMiss event with a machine-readable reason and
 // sends the caller to the full search.
-func (x *corpusCtx) tryWarm(prog *ir.Prog, o Options, i int, lifecycle obs.Sink) (*concolic.Report, bool) {
+func (x *corpusCtx) tryWarm(prog *ir.Prog, code *machine.Compiled, o Options, i int, lifecycle obs.Sink) (*concolic.Report, bool) {
 	fn := o.Toplevels[i]
 	miss := func(reason string) (*concolic.Report, bool) {
 		if lifecycle != nil {
@@ -132,7 +133,7 @@ func (x *corpusCtx) tryWarm(prog *ir.Prog, o Options, i int, lifecycle obs.Sink)
 	// search's) is a prefix of what its inputs reach when replayed freely.
 	// The warm report restores the stored set verbatim either way, so it
 	// stays byte-identical to the cold one.
-	copts := replayOpts(o, i)
+	copts := replayOpts(o, i, code)
 	results, err := concolic.ReplaySuite(prog, copts, ent.Suite)
 	if err != nil {
 		return miss("replay-mismatch")

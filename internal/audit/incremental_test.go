@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"dart/internal/concolic"
@@ -251,10 +252,14 @@ func TestAuditOptionsSigGatesReplay(t *testing.T) {
 	Run(prog, opts)
 
 	opts.Seed = 2 // per-function seeds move; stored verdicts no longer apply
+	// The audit's workers share the observer.
+	var mu sync.Mutex
 	var reasons []string
 	opts.Observer = obs.SinkFunc(func(ev obs.Event) {
 		if ev.Kind == obs.CorpusMiss {
+			mu.Lock()
 			reasons = append(reasons, ev.Reason)
+			mu.Unlock()
 		}
 	})
 	warm := Run(prog, opts)

@@ -180,6 +180,11 @@ type Options struct {
 	// to that); the interpreter exists as the semantic reference and for
 	// flushing out divergence bugs.
 	Interpreter bool
+	// Compiled, when non-nil, is prog's compiled form (machine.Compile
+	// of the same Prog), used instead of compiling per search: a batch
+	// running many searches over one program compiles it once and shares
+	// the read-only image.  Ignored when Interpreter is set.
+	Compiled *machine.Compiled
 	// StallWindow is the plateau window of the explainer's stall
 	// detector, in completed runs: a CoverageStall event fires each time
 	// coverage has not moved for a further full window.  Zero selects
@@ -415,8 +420,12 @@ type engine struct {
 	// with it solve-cache keys — is global to the search.
 	regs *varRegistry
 
-	// im is the current input vector (key -> value/decision).
-	im map[string]int64
+	// im is the current input vector, dense over regs' variables.  Every
+	// input a directed search draws is a registered variable, so the
+	// vector is all of IM; the solver reads it as its hint.
+	im symbolic.Vector
+	// vars is the engine's lock-free snapshot of regs (see info).
+	vars []varInfo
 
 	// code is the program's closure-threaded compiled form, shared
 	// read-only by all engines of a search (nil = interpreter).
@@ -433,15 +442,11 @@ type engine struct {
 	// candbuf is pickBranch's candidate scratch (indices only, never
 	// retained past the call).
 	candbuf []int
-	// hintbuf is hint's reusable assignment map: the solver reads it
-	// during the solve and copies what it keeps into fresh models.
-	hintbuf map[symbolic.Var]int64
-	// argbuf is oneRun's reusable argument slice; RunCall copies the
-	// values into the callee frame and does not retain the slice.
+	// fn is the toplevel function; argbuf is oneRun's reusable argument
+	// slice (RunCall copies the values into the callee frame and does
+	// not retain the slice).
+	fn     *ir.Func
 	argbuf []machine.Value
-	// argKeys caches the per-(depth, param) input keys ("d0.x", …),
-	// which are pure functions of the toplevel signature and Depth.
-	argKeys [][]string
 	// ufbuf and verifybuf are scratch for the solver's independence
 	// slicing and full-conjunction verification (cleared on each use,
 	// nothing retained across calls).
@@ -560,13 +565,6 @@ func (r *varRegistry) snapshot() []varInfo {
 	return r.vars
 }
 
-// keyOf returns the input key of a registered variable.
-func (r *varRegistry) keyOf(v symbolic.Var) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.vars[v].key
-}
-
 // lookup resolves an input key back to its registered variable — the
 // inverse of varOf, used to translate a persistent solve-cache model
 // (keyed by stable input names) into this search's Var numbering.
@@ -577,27 +575,17 @@ func (r *varRegistry) lookup(key string) (symbolic.Var, bool) {
 	return v, ok
 }
 
-// metaOf returns the solver domain of a registered variable.
-func (r *varRegistry) metaOf(v symbolic.Var) solver.VarMeta {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.vars[v].meta
-}
-
-// isPointer reports whether v identifies a pointer input.
-func (r *varRegistry) isPointer(v symbolic.Var) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return int(v) < len(r.vars) && r.vars[v].meta.Kind == symbolic.PointerVar
-}
-
 var errMispredicted = errors.New("execution diverged from predicted branch")
 
-// compileFor lowers prog once for a search's execution engines; nil
-// selects the reference tree-walking interpreter.
+// compileFor lowers prog once for a search's execution engines (or
+// takes the caller's shared image); nil selects the reference
+// tree-walking interpreter.
 func compileFor(prog *ir.Prog, o Options) *machine.Compiled {
-	if o.Interpreter {
+	switch {
+	case o.Interpreter:
 		return nil
+	case o.Compiled != nil:
+		return o.Compiled
 	}
 	return machine.Compile(prog)
 }
@@ -619,7 +607,6 @@ func Run(prog *ir.Prog, opts Options) (*Report, error) {
 		opts:     o,
 		rand:     rng.New(o.Seed),
 		regs:     newVarRegistry(),
-		im:       map[string]int64{},
 		obs:      o.Observer,
 		metrics:  newMetrics(o),
 		prof:     newProfile(o, 0),
@@ -713,7 +700,7 @@ func (e *engine) search() {
 	for e.report.Runs < e.opts.MaxRuns {
 		// Outer repeat: fresh random input vector, empty stack.
 		e.stack = nil
-		e.im = map[string]int64{}
+		e.im.Reset()
 		e.lastFlip.ok = false
 		if e.report.Runs > 0 {
 			e.report.Restarts++
@@ -767,7 +754,7 @@ func (e *engine) search() {
 					}
 				}
 			}
-			e.rec.observe(e.im, m.Branches)
+			e.rec.observe(e.namedIM, m.Branches)
 			e.tickTimeline(newly)
 			if e.obs != nil {
 				e.emit(obs.Event{Kind: obs.RunEnd, Run: e.report.Runs, Steps: m.Steps(),
@@ -809,7 +796,7 @@ func (e *engine) search() {
 							Msg:    rerr.Msg,
 							Pos:    rerr.Pos,
 							Run:    e.report.Runs,
-							Inputs: copyIM(e.im),
+							Inputs: e.namedIM(),
 						})
 						e.metrics.Add(obs.CBugs, 1)
 						e.emit(obs.Event{Kind: obs.BugFound, Run: e.report.Runs,
@@ -862,6 +849,20 @@ func (e *engine) search() {
 // dedup behaves identically across modes.
 func bugSig(rerr *machine.RunError) string {
 	return rerr.Outcome.String() + "|" + rerr.Msg + "|" + rerr.Pos.String()
+}
+
+// namedIM renders the engine's input vector under the registry's
+// portable input keys: the form bug reports, run logs and fault
+// diagnostics carry out of the search.
+func (e *engine) namedIM() map[string]int64 {
+	vars := e.regs.snapshot()
+	out := make(map[string]int64, e.im.Len())
+	for v := range e.im.Len() {
+		if x, ok := e.im.Get(symbolic.Var(v)); ok {
+			out[vars[v].key] = x
+		}
+	}
+	return out
 }
 
 func copyIM(im map[string]int64) map[string]int64 {

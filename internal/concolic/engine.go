@@ -53,41 +53,15 @@ func (e *engine) oneRun() (*machine.Machine, *machine.RunError, error) {
 		}
 	}
 
-	fn, _ := e.prog.Lookup(e.opts.Toplevel)
-	if e.argKeys == nil {
-		// Input keys are a pure function of (depth, param): render them
-		// once per engine instead of once per run.
-		e.argKeys = make([][]string, e.opts.Depth)
-		for d := range e.argKeys {
-			e.argKeys[d] = make([]string, len(fn.Params))
-			for i, p := range fn.Params {
-				name := p.Name
-				if name == "" {
-					name = fmt.Sprintf("arg%d", i)
-				}
-				e.argKeys[d][i] = fmt.Sprintf("d%d.%s", d, name)
-			}
-		}
-		e.argbuf = make([]machine.Value, len(fn.Params))
+	if e.fn == nil {
+		e.fn, _ = e.prog.Lookup(e.opts.Toplevel)
+		e.argbuf = make([]machine.Value, len(e.fn.Params))
 	}
 	for d := 0; d < e.opts.Depth; d++ {
-		args := e.argbuf
-		for i, p := range fn.Params {
-			key := e.argKeys[d][i]
-			cell, aerr := m.Mem().Alloc(1)
-			if aerr != nil {
-				return m, &machine.RunError{Outcome: machine.Crashed, Msg: aerr.Error()}, nil
-			}
-			if ierr := m.RandomInit(cell, p.Type, key); ierr != nil {
-				return m, &machine.RunError{Outcome: machine.Crashed, Msg: ierr.Error()}, nil
-			}
-			v, verr := m.ArgValue(cell)
-			if verr != nil {
-				return m, &machine.RunError{Outcome: machine.Crashed, Msg: verr.Error()}, nil
-			}
-			args[i] = v
+		if err := m.InitArgs(e.fn, d, e.argbuf); err != nil {
+			return m, &machine.RunError{Outcome: machine.Crashed, Msg: err.Error()}, nil
 		}
-		if _, rerr := m.RunCall(e.opts.Toplevel, args); rerr != nil {
+		if _, rerr := m.RunCall(e.opts.Toplevel, e.argbuf); rerr != nil {
 			return m, rerr, nil
 		}
 	}
@@ -130,11 +104,11 @@ func (e *engine) onBranch(rec machine.BranchRec) error {
 // decisionDepth counts the pointer indirections of the input behind a
 // Decision record.
 func (e *engine) decisionDepth(rec machine.BranchRec) int {
-	vs := rec.Pred.L.Vars()
-	if len(vs) != 1 {
+	v, ok := rec.Pred.L.UnitVar()
+	if !ok {
 		return 0
 	}
-	return strings.Count(e.regs.keyOf(vs[0]), ".*")
+	return strings.Count(e.info(v).key, ".*")
 }
 
 // solveNext is solve_path_constraint (Fig. 5): choose an unexplored
@@ -225,7 +199,7 @@ func (e *engine) solveNext(branches []machine.BranchRec) bool {
 
 		// IM + IM': inputs not involved keep their previous values.
 		for v, val := range sol {
-			e.im[e.regs.keyOf(v)] = val
+			e.im.Set(v, val)
 		}
 		return true
 	}
@@ -254,71 +228,63 @@ func (e *engine) pickBranch(branches []machine.BranchRec, ktry int) int {
 	}
 }
 
-// hint exposes the current input vector as a variable assignment, used to
-// preserve don't-care inputs and to bias disequality splits.
-func (e *engine) hint() map[symbolic.Var]int64 {
-	vars := e.regs.snapshot()
-	if e.hintbuf == nil {
-		e.hintbuf = make(map[symbolic.Var]int64, len(vars))
-	} else {
-		clear(e.hintbuf)
+// info returns a registered variable's key and domain from the engine's
+// registry snapshot, refreshed only when v is newer than the snapshot
+// (registry entries are immutable once appended), so the solver's
+// per-variable reads take no lock.
+func (e *engine) info(v symbolic.Var) *varInfo {
+	if int(v) >= len(e.vars) {
+		e.vars = e.regs.snapshot()
 	}
-	h := e.hintbuf
-	for i := range vars {
-		if v, ok := e.im[vars[i].key]; ok {
-			h[symbolic.Var(i)] = v
-		}
-	}
-	return h
+	return &e.vars[v]
 }
 
 // meta returns the solver domain of a variable.
 func (e *engine) meta(v symbolic.Var) solver.VarMeta {
-	return e.regs.metaOf(v)
+	return e.info(v).meta
 }
 
 // varName names a variable by its stable input key for the explainer's
 // unsat-slice renderings (Var numbering is first-use order and differs
 // across worker counts; input keys do not).
 func (e *engine) varName(v symbolic.Var) string {
-	return e.regs.keyOf(v)
+	return e.info(v).key
 }
 
 // ---------------------------------------------------------------- inputs
 // engine implements machine.InputSource: the generated test driver's
 // random initialization, overridden by the solved input vector IM.
 
-// ScalarInput returns IM[key], drawing (and recording) random bits on
-// first use, per Fig. 8's random_bits(sizeof(type)).
-func (e *engine) ScalarInput(key string, b *types.Basic) int64 {
-	if v, ok := e.im[key]; ok {
-		return v
+// ScalarInput returns IM[v] for the slot's variable v, drawing (and
+// recording) random bits on first use, per Fig. 8's
+// random_bits(sizeof(type)).
+func (e *engine) ScalarInput(s *machine.Slot, b *types.Basic) int64 {
+	v, _ := s.Var()
+	if x, ok := e.im.Get(v); ok {
+		return x
 	}
-	v := types.Truncate(b, e.rand.Bits(b.Bits()))
-	e.im[key] = v
-	return v
+	x := types.Truncate(b, e.rand.Bits(b.Bits()))
+	e.im.Set(v, x)
+	return x
 }
 
 // PointerInput returns the NULL-vs-allocate decision for a pointer input,
 // tossing (and recording) a fair coin on first use.
-func (e *engine) PointerInput(key string) bool {
-	if v, ok := e.im[key]; ok {
-		return v != 0
+func (e *engine) PointerInput(s *machine.Slot) bool {
+	v, _ := s.Var()
+	if x, ok := e.im.Get(v); ok {
+		return x != 0
 	}
 	var d int64
 	if e.rand.Coin() {
 		d = 1
 	}
-	e.im[key] = d
+	e.im.Set(v, d)
 	return d != 0
 }
 
-// IsPointerVar reports whether v identifies a pointer input.
-func (e *engine) IsPointerVar(v symbolic.Var) bool {
-	return e.regs.isPointer(v)
-}
-
-// VarOf registers (or recalls) the symbolic variable for input key.
+// VarOf registers (or recalls) the symbolic variable for input key; the
+// machine asks once per input slot.
 // Registration goes through the search-global registry, so under the
 // parallel engine the same key maps to the same variable in every
 // worker (the property that keeps shared solve-cache keys sound).

@@ -47,8 +47,9 @@ type frontierItem struct {
 	flipTaken bool
 	// bound is the child generation's lower flip index.
 	bound int
-	// im is the input vector that drove the parent run.
-	im map[string]int64
+	// im is the input vector that drove the parent run (shared,
+	// read-only, across the run's children).
+	im symbolic.Vector
 	// depth is the flip index (for BFS ordering).
 	depth int
 	// site is the flipped conditional's branch site (-1 for shape
@@ -114,7 +115,7 @@ func (e *engine) recordRun(m *machine.Machine, rerr *machine.RunError) bool {
 		// worker covered first; the shared view dedups search-wide.
 		newly = e.shared.recordCov(m.Branches)
 	}
-	e.rec.observe(e.im, m.Branches)
+	e.rec.observe(e.namedIM, m.Branches)
 	e.tickTimeline(newly)
 	if e.obs != nil {
 		e.emit(obs.Event{Kind: obs.RunEnd, Run: e.report.Runs, Steps: m.Steps(),
@@ -141,7 +142,7 @@ func (e *engine) recordRun(m *machine.Machine, rerr *machine.RunError) bool {
 					Msg:    rerr.Msg,
 					Pos:    rerr.Pos,
 					Run:    e.report.Runs,
-					Inputs: copyIM(e.im),
+					Inputs: e.namedIM(),
 				})
 				e.metrics.Add(obs.CBugs, 1)
 				e.emit(obs.Event{Kind: obs.BugFound, Run: e.report.Runs,
@@ -173,7 +174,7 @@ func (e *engine) childItems(branches []machine.BranchRec, bound int) []frontierI
 		}
 	}
 	predsBefore[len(branches)] = len(preds)
-	im := copyIM(e.im)
+	im := e.im.Clone()
 	var kids []frontierItem
 	for j := bound; j < len(branches); j++ {
 		rec := branches[j]
@@ -241,7 +242,7 @@ func (e *engine) solveItem(item frontierItem) bool {
 	e.report.SolverCalls++
 	e.metrics.Observe(obs.HPCLen, int64(len(pc)))
 	e.metrics.Observe(obs.HFrontierDepth, int64(item.depth))
-	e.im = copyIM(item.im)
+	e.im = item.im.Clone()
 	var target string
 	if e.obs != nil {
 		target = itemPath(item)
@@ -270,7 +271,7 @@ func (e *engine) solveItem(item frontierItem) bool {
 		e.emit(obs.Event{Kind: obs.BranchFlip, Run: e.report.Runs, Depth: item.depth, Path: target, Site: item.site + 1})
 	}
 	for v, val := range sol {
-		e.im[e.regs.keyOf(v)] = val
+		e.im.Set(v, val)
 	}
 
 	// Predict the prefix plus the flipped branch.
@@ -344,7 +345,7 @@ func (e *engine) frontierRoot() (kids []frontierItem, cont bool) {
 			return nil, false
 		}
 		e.stack = nil
-		e.im = map[string]int64{}
+		e.im.Reset()
 		if e.report.Runs > 0 {
 			e.report.Restarts++
 			e.metrics.Add(obs.CRestarts, 1)

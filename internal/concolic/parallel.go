@@ -350,7 +350,6 @@ func runParallel(prog *ir.Prog, o Options, start time.Time) *Report {
 			opts:     o,
 			rand:     base,
 			regs:     regs,
-			im:       map[string]int64{},
 			deadline: deadline,
 			obs:      o.Observer,
 			metrics:  newMetrics(o),

@@ -25,32 +25,30 @@ type randomSource struct {
 	im map[string]int64
 }
 
-func (r *randomSource) ScalarInput(key string, b *types.Basic) int64 {
-	if v, ok := r.im[key]; ok {
+func (r *randomSource) ScalarInput(s *machine.Slot, b *types.Basic) int64 {
+	if v, ok := r.im[s.Key]; ok {
 		return v
 	}
 	v := types.Truncate(b, r.rand.Bits(b.Bits()))
-	r.im[key] = v
+	r.im[s.Key] = v
 	return v
 }
 
-func (r *randomSource) PointerInput(key string) bool {
-	if v, ok := r.im[key]; ok {
+func (r *randomSource) PointerInput(s *machine.Slot) bool {
+	if v, ok := r.im[s.Key]; ok {
 		return v != 0
 	}
 	var d int64
 	if r.rand.Coin() {
 		d = 1
 	}
-	r.im[key] = d
+	r.im[s.Key] = d
 	return d != 0
 }
 
 func (r *randomSource) VarOf(string, symbolic.VarKind, *types.Basic) (symbolic.Var, bool) {
 	return 0, false
 }
-
-func (r *randomSource) IsPointerVar(symbolic.Var) bool { return false }
 
 // RandomTest performs pure random testing of the toplevel function: the
 // same generated driver as the directed search, but every run draws fresh
@@ -181,27 +179,8 @@ func RandomTest(prog *ir.Prog, opts Options) (*Report, error) {
 		m = pooled
 		for d := 0; d < o.Depth; d++ {
 			args := make([]machine.Value, len(fn.Params))
-			for i, p := range fn.Params {
-				cell, aerr := m.Mem().Alloc(1)
-				if aerr != nil {
-					return m, &machine.RunError{Outcome: machine.Crashed, Msg: aerr.Error()}, nil
-				}
-				// The key scheme must match the directed engine's (and
-				// Replay's): "d<depth>.<param name>", falling back to the
-				// parameter index.  Recorded vectors are useless otherwise.
-				name := p.Name
-				if name == "" {
-					name = fmt.Sprintf("arg%d", i)
-				}
-				key := fmt.Sprintf("d%d.%s", d, name)
-				if ierr := m.RandomInit(cell, p.Type, key); ierr != nil {
-					return m, &machine.RunError{Outcome: machine.Crashed, Msg: ierr.Error()}, nil
-				}
-				v, verr := m.ArgValue(cell)
-				if verr != nil {
-					return m, &machine.RunError{Outcome: machine.Crashed, Msg: verr.Error()}, nil
-				}
-				args[i] = v
+			if err := m.InitArgs(fn, d, args); err != nil {
+				return m, &machine.RunError{Outcome: machine.Crashed, Msg: err.Error()}, nil
 			}
 			if _, rerr := m.RunCall(o.Toplevel, args); rerr != nil {
 				return m, rerr, nil
@@ -236,7 +215,7 @@ func RandomTest(prog *ir.Prog, opts Options) (*Report, error) {
 				newly++
 			}
 		}
-		rec.observe(lastInputs, m.Branches)
+		rec.observe(func() map[string]int64 { return copyIM(lastInputs) }, m.Branches)
 		if st, fired := tl.Tick(newly, 0, 0); fired {
 			metrics.Add(obs.CStalls, 1)
 			emit(obs.Event{Kind: obs.CoverageStall, Run: int(st.Run), Covered: st.Covered, Window: st.Window})

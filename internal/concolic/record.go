@@ -52,9 +52,10 @@ func newRunRecorder(sites int) *runRecorder {
 	return &runRecorder{union: coverage.New(sites), dirbuf: map[CovDir]bool{}}
 }
 
-// observe offers one completed run to the log.  im is the vector that
-// drove the run (copied if kept); branches its branch records.
-func (r *runRecorder) observe(im map[string]int64, branches []machine.BranchRec) {
+// observe offers one completed run to the log.  inputs renders the
+// vector that drove the run, called only if the run is kept; branches
+// are its branch records.
+func (r *runRecorder) observe(inputs func() map[string]int64, branches []machine.BranchRec) {
 	if r == nil {
 		return
 	}
@@ -80,7 +81,7 @@ func (r *runRecorder) observe(im map[string]int64, branches []machine.BranchRec)
 	if !fresh {
 		return
 	}
-	r.records = append(r.records, RunRecord{Inputs: copyIM(im), Cover: dirs})
+	r.records = append(r.records, RunRecord{Inputs: inputs(), Cover: dirs})
 }
 
 // log returns the kept runs in keep order.

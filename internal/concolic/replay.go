@@ -18,27 +18,25 @@ type replaySource struct {
 	missing []string
 }
 
-func (r *replaySource) ScalarInput(key string, b *types.Basic) int64 {
-	if v, ok := r.im[key]; ok {
+func (r *replaySource) ScalarInput(s *machine.Slot, b *types.Basic) int64 {
+	if v, ok := r.im[s.Key]; ok {
 		return v
 	}
-	r.missing = append(r.missing, key)
+	r.missing = append(r.missing, s.Key)
 	return 0
 }
 
-func (r *replaySource) PointerInput(key string) bool {
-	if v, ok := r.im[key]; ok {
+func (r *replaySource) PointerInput(s *machine.Slot) bool {
+	if v, ok := r.im[s.Key]; ok {
 		return v != 0
 	}
-	r.missing = append(r.missing, key)
+	r.missing = append(r.missing, s.Key)
 	return false
 }
 
 func (r *replaySource) VarOf(string, symbolic.VarKind, *types.Basic) (symbolic.Var, bool) {
 	return 0, false // concrete-only replay
 }
-
-func (r *replaySource) IsPointerVar(symbolic.Var) bool { return false }
 
 // Replay executes the program once, concretely, on a recorded input
 // vector (a Bug's Inputs).  It returns how the run ended: nil for normal
@@ -69,24 +67,8 @@ func Replay(prog *ir.Prog, opts Options, inputs map[string]int64) (*machine.RunE
 	}
 	for d := 0; d < o.Depth; d++ {
 		args := make([]machine.Value, len(fn.Params))
-		for i, p := range fn.Params {
-			name := p.Name
-			if name == "" {
-				name = fmt.Sprintf("arg%d", i)
-			}
-			key := fmt.Sprintf("d%d.%s", d, name)
-			cell, aerr := m.Mem().Alloc(1)
-			if aerr != nil {
-				return nil, aerr
-			}
-			if ierr := m.RandomInit(cell, p.Type, key); ierr != nil {
-				return nil, ierr
-			}
-			v, verr := m.ArgValue(cell)
-			if verr != nil {
-				return nil, verr
-			}
-			args[i] = v
+		if err := m.InitArgs(fn, d, args); err != nil {
+			return nil, err
 		}
 		_, rerr := m.RunCall(o.Toplevel, args)
 		if len(src.missing) > 0 {

@@ -76,26 +76,10 @@ func ReplaySuite(prog *ir.Prog, opts Options, cases []map[string]int64) (results
 		}
 		res := CaseResult{}
 		for d := 0; d < o.Depth && res.Err == nil; d++ {
-			for i, p := range fn.Params {
-				name := p.Name
-				if name == "" {
-					name = fmt.Sprintf("arg%d", i)
-				}
-				key := fmt.Sprintf("d%d.%s", d, name)
-				cell, aerr := pooled.Mem().Alloc(1)
-				if aerr != nil {
-					return nil, aerr
-				}
-				if ierr := pooled.RandomInit(cell, p.Type, key); ierr != nil {
-					return nil, ierr
-				}
-				v, verr := pooled.ArgValue(cell)
-				if verr != nil {
-					return nil, verr
-				}
-				argbuf[i] = v
+			if err := pooled.InitArgs(fn, d, argbuf); err != nil {
+				return nil, err
 			}
-			if _, rerr := pooled.RunCall(o.Toplevel, argbuf[:len(fn.Params)]); rerr != nil {
+			if _, rerr := pooled.RunCall(o.Toplevel, argbuf); rerr != nil {
 				res.Err = rerr
 			}
 		}

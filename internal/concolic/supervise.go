@@ -79,7 +79,7 @@ func (e *engine) runIsolated() (m *machine.Machine, rerr *machine.RunError, faul
 				Phase:  "run",
 				Msg:    fmt.Sprintf("panic: %v", r),
 				Run:    e.report.Runs + 1,
-				Inputs: copyIM(e.im),
+				Inputs: e.namedIM(),
 			}
 			m, rerr = nil, nil
 		}
@@ -91,7 +91,7 @@ func (e *engine) runIsolated() (m *machine.Machine, rerr *machine.RunError, faul
 			Phase:  "init",
 			Msg:    err.Error(),
 			Run:    e.report.Runs + 1,
-			Inputs: copyIM(e.im),
+			Inputs: e.namedIM(),
 		}
 		m, rerr = nil, nil
 	}
@@ -177,7 +177,7 @@ func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.
 				Phase:  "solver",
 				Msg:    fmt.Sprintf("panic: %v", r),
 				Run:    e.report.Runs,
-				Inputs: copyIM(e.im),
+				Inputs: e.namedIM(),
 			})
 			e.report.SolverComplete = false
 			sol, verdict, work = nil, solver.Unsat, 0
@@ -185,7 +185,7 @@ func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.
 		}
 	}()
 
-	hint := e.hint()
+	hint := e.im
 	var t0 time.Time
 	if e.prof != nil {
 		t0 = time.Now()
@@ -365,14 +365,14 @@ func (e *engine) namedModel(sol map[symbolic.Var]int64) map[string]int64 {
 	}
 	out := make(map[string]int64, len(sol))
 	for v, val := range sol {
-		out[e.regs.keyOf(v)] = val
+		out[e.varName(v)] = val
 	}
 	return out
 }
 
 // verifyTimed is VerifyAssignment under the profiler's verify span (a
 // plain passthrough when profiling is off).
-func (e *engine) verifyTimed(pc []symbolic.Pred, sol, hint map[symbolic.Var]int64) bool {
+func (e *engine) verifyTimed(pc []symbolic.Pred, sol map[symbolic.Var]int64, hint symbolic.Vector) bool {
 	if e.verifybuf == nil {
 		e.verifybuf = map[symbolic.Var]int64{}
 	}

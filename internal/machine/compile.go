@@ -315,8 +315,7 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 		}
 		voidish := ins.Dst == nil || types.IsVoid(ins.Result)
 		return func(m *Machine, frame int64) (int, *RunError) {
-			n := m.extCounts[fn]
-			m.extCounts[fn] = n + 1
+			slot := m.extSlot(fn)
 			if voidish {
 				return next, nil
 			}
@@ -324,8 +323,7 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 			if err != nil {
 				return 0, m.memErr(err, pos)
 			}
-			key := fmt.Sprintf("ext:%s#%d", fn, n)
-			if err := m.RandomInit(addr, result, key); err != nil {
+			if err := m.RandomInit(addr, result, slot); err != nil {
 				return 0, m.memErr(err, pos)
 			}
 			return next, nil

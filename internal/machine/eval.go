@@ -322,7 +322,7 @@ func (m *Machine) loadSymK(addr int64) (*symbolic.Lin, int64, bool) {
 // pointer input (so the form's value is fixed by shape decisions alone).
 func (m *Machine) pointerShapeOnly(l *symbolic.Lin) bool {
 	for _, v := range l.Vars() {
-		if !m.inputs.IsPointerVar(v) {
+		if !m.isPointerVar(v) {
 			return false
 		}
 	}

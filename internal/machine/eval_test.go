@@ -316,9 +316,9 @@ func TestPointerShapeOnlyRefinement(t *testing.T) {
 	region, _ := m.Mem().Alloc(1)
 	_ = m.Mem().Store(ptrCell, region)
 	_ = m.Mem().Store(region, 99)
-	pv, _ := src.VarOf("p", symbolic.PointerVar, nil)
+	pv, _ := m.slotVar(&Slot{Key: "p"}, symbolic.PointerVar, nil)
 	m.setSym(ptrCell, symbolic.NewVar(pv))
-	sv, _ := src.VarOf("p.*", symbolic.ScalarVar, types.IntType)
+	sv, _ := m.slotVar(&Slot{Key: "p.*"}, symbolic.ScalarVar, types.IntType)
 	m.setSym(region, symbolic.NewVar(sv))
 
 	deref := &ir.Load{Addr: &ir.Load{Addr: &ir.GlobalAddr{Off: 0}}}

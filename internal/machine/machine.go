@@ -112,25 +112,22 @@ type BranchHook func(rec BranchRec) error
 
 // InputSource supplies concrete input values and their symbolic
 // identities.  The concolic engine implements it with the input vector IM
-// (previous solution + random completion); the random-testing baseline
-// implements it with a pure random stream.
+// (previous solution + random completion), indexed by the slots' bound
+// variables; the random-testing baseline and replay implement it by the
+// slots' portable keys.
 type InputSource interface {
-	// ScalarInput returns the concrete value for the scalar input named
-	// key, of basic type b.
-	ScalarInput(key string, b *types.Basic) int64
-	// PointerInput reports whether the pointer input named key should be
-	// a fresh allocation (true) or NULL (false).
-	PointerInput(key string) bool
-	// VarOf returns the symbolic variable standing for input key,
-	// registering its kind and domain on first use.  Sources that do not
-	// track symbolic state (pure random testing) return false.
+	// VarOf returns the symbolic variable standing for the input named
+	// key, registering its kind and domain on first use.  The machine
+	// asks once per input slot and caches the answer on its slot tree.
+	// Sources that do not track symbolic state (pure random testing,
+	// replay) return false.
 	VarOf(key string, kind symbolic.VarKind, b *types.Basic) (symbolic.Var, bool)
-	// IsPointerVar reports whether v identifies a pointer input.  The
-	// machine uses it for the pointer-dereference refinement of Sec. 2.3:
-	// an address that depends only on pointer-shape inputs is definite
-	// once the shapes are fixed, so dereferencing it stays within the
-	// theory instead of clearing all_locs_definite.
-	IsPointerVar(v symbolic.Var) bool
+	// ScalarInput returns the concrete value for the scalar input at
+	// slot s, of basic type b.
+	ScalarInput(s *Slot, b *types.Basic) int64
+	// PointerInput reports whether the pointer input at slot s should be
+	// a fresh allocation (true) or NULL (false).
+	PointerInput(s *Slot) bool
 }
 
 // LibImpl is a host-implemented library function: a deterministic black
@@ -202,20 +199,33 @@ type Machine struct {
 	// Branches is the executed conditional sequence (stack material).
 	Branches []BranchRec
 
-	// extCounts numbers successive calls to each external function so
-	// that every call is a distinct input (Sec. 3.1).
-	extCounts map[string]int
+	// ext numbers successive calls to each external function so that
+	// every call is a distinct input (Sec. 3.1), and keeps each call's
+	// root input slot across runs.
+	ext map[string]*extInputs
+	// globalSlots and argSlots are the input-slot tree's other roots:
+	// extern globals by index into prog.Globals, and argFn's parameters
+	// by driver call.  Like the rest of the tree they survive Reset.
+	globalSlots []*Slot
+	argFn       *ir.Func
+	argSlots    [][]*Slot
 
 	// shapeSearch and decided implement the pointer-shape decision
 	// records: each pointer input contributes at most one Decision
-	// record per run, at its first concrete read.
+	// record per run, at its first concrete read.  decided is indexed
+	// by symbolic.Var.
 	shapeSearch bool
-	decided     map[symbolic.Var]bool
+	decided     []bool
 
 	callDepth int
 
 	// code is the compiled form of prog (nil = interpreter).
 	code *Compiled
+	// callName, callF and callC cache RunCall's resolution of its
+	// function name (callC: compiled engine only).
+	callName string
+	callF    *ir.Func
+	callC    *cfunc
 	// taintHit is set by compiled Load ops when the loaded cell carried a
 	// taint bit; compiled instructions reset it before evaluating their
 	// operands and skip shadow evaluation when it stays false.
@@ -232,26 +242,17 @@ type Machine struct {
 	// are pushed per call and popped on return so nested calls reuse one
 	// backing array.
 	argStack []Value
-	// varLins interns the 1·v form per input variable.  A search's runs
-	// re-initialize the same inputs thousands of times and the form is a
-	// pure function of the Var, so the cache survives Reset.
-	varLins map[symbolic.Var]*symbolic.Lin
+	// varLins interns the 1·v form per input variable and pointerVars
+	// marks the pointer inputs, both indexed by symbolic.Var and kept
+	// across Reset (see varLin and isPointerVar).
+	varLins     []*symbolic.Lin
+	pointerVars []bool
 	// lins batch-allocates the Lin headers the shadow and branch-
 	// predicate paths produce (one chunk allocation per 512 forms).
 	// Chunks are never recycled — published forms escape into BranchRec
 	// snapshots — so Reset leaves the arena alone; the unused tail of
 	// the current chunk is still virgin and keeps serving the next run.
 	lins symbolic.Arena
-}
-
-// varLin returns the interned form 1·v + 0.
-func (m *Machine) varLin(v symbolic.Var) *symbolic.Lin {
-	if l, ok := m.varLins[v]; ok {
-		return l
-	}
-	l := m.lins.NewVar(v)
-	m.varLins[v] = l
-	return l
 }
 
 // maxCallDepth bounds MiniC recursion so runaway recursion is reported
@@ -272,10 +273,9 @@ func New(cfg Config) (*Machine, error) {
 		maxSteps:        cfg.MaxSteps,
 		allLinear:       true,
 		allLocsDefinite: true,
-		extCounts:       map[string]int{},
+		ext:             map[string]*extInputs{},
+		globalSlots:     make([]*Slot, len(cfg.Prog.Globals)),
 		shapeSearch:     cfg.ShapeSearch,
-		decided:         map[symbolic.Var]bool{},
-		varLins:         map[symbolic.Var]*symbolic.Lin{},
 		supervised:      !cfg.Deadline.IsZero() || cfg.Cancel != nil,
 		deadline:        cfg.Deadline,
 		cancel:          cfg.Cancel,
@@ -296,11 +296,14 @@ func New(cfg Config) (*Machine, error) {
 // inputs drawn through the current InputSource.
 func (m *Machine) initGlobals() error {
 	m.globalBase = m.mem.MapGlobals(m.prog.GlobalSize)
-	for _, g := range m.prog.Globals {
+	for i, g := range m.prog.Globals {
 		addr := m.globalBase + g.Off
 		switch {
 		case g.Extern:
-			if err := m.RandomInit(addr, g.Type, "g:"+g.Name); err != nil {
+			if m.globalSlots[i] == nil {
+				m.globalSlots[i] = &Slot{Key: "g:" + g.Name}
+			}
+			if err := m.RandomInit(addr, g.Type, m.globalSlots[i]); err != nil {
 				return err
 			}
 		case g.HasInit:
@@ -331,7 +334,9 @@ func (m *Machine) Reset(inputs InputSource) error {
 	m.shadowEvals = 0
 	m.retV = Value{}
 	m.argStack = m.argStack[:0]
-	clear(m.extCounts)
+	for _, x := range m.ext {
+		x.n = 0
+	}
 	clear(m.decided)
 	clear(m.sym)
 	m.mem.Reset()
@@ -432,27 +437,28 @@ func truncStore(t types.Type, v int64) int64 {
 
 // ---------------------------------------------------------------- inputs
 
-// RandomInit initializes the memory at addr as an input of type t named
-// key, following Fig. 8: scalars draw random bits (or the value assigned
-// by the previous solve), pointers flip a coin between NULL and a fresh
-// allocation whose contents are initialized recursively, and structs and
-// arrays recurse member-wise.
-func (m *Machine) RandomInit(addr int64, t types.Type, key string) error {
+// RandomInit initializes the memory at addr as the input of type t at
+// slot s, following Fig. 8: scalars draw random bits (or the value
+// assigned by the previous solve), pointers flip a coin between NULL and
+// a fresh allocation whose contents are initialized recursively, and
+// structs and arrays recurse member-wise into s's child slots.
+func (m *Machine) RandomInit(addr int64, t types.Type, s *Slot) error {
 	switch t := t.(type) {
 	case *types.Basic:
-		v := types.Truncate(t, m.inputs.ScalarInput(key, t))
+		sv, ok := m.slotVar(s, symbolic.ScalarVar, t)
+		v := types.Truncate(t, m.inputs.ScalarInput(s, t))
 		if err := m.mem.Store(addr, v); err != nil {
 			return err
 		}
-		if sv, ok := m.inputs.VarOf(key, symbolic.ScalarVar, t); ok {
+		if ok {
 			m.setSym(addr, m.varLin(sv))
 		}
 		return nil
 	case *types.Pointer:
-		if sv, ok := m.inputs.VarOf(key, symbolic.PointerVar, nil); ok {
+		if sv, ok := m.slotVar(s, symbolic.PointerVar, nil); ok {
 			m.setSym(addr, m.varLin(sv))
 		}
-		if !m.inputs.PointerInput(key) {
+		if !m.inputs.PointerInput(s) {
 			return m.mem.Store(addr, 0)
 		}
 		size := t.Elem.Size()
@@ -469,18 +475,17 @@ func (m *Machine) RandomInit(addr int64, t types.Type, key string) error {
 		if types.IsVoid(t.Elem) {
 			return nil
 		}
-		return m.RandomInit(region, t.Elem, key+".*")
+		return m.RandomInit(region, t.Elem, s.deref())
 	case *types.Struct:
-		for _, f := range t.Fields {
-			if err := m.RandomInit(addr+f.Offset, f.Type, key+"."+f.Name); err != nil {
+		for i, f := range t.Fields {
+			if err := m.RandomInit(addr+f.Offset, f.Type, s.field(t, i)); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *types.Array:
 		for i := int64(0); i < t.Len; i++ {
-			k := fmt.Sprintf("%s[%d]", key, i)
-			if err := m.RandomInit(addr+i*t.Elem.Size(), t.Elem, k); err != nil {
+			if err := m.RandomInit(addr+i*t.Elem.Size(), t.Elem, s.index(t, i)); err != nil {
 				return err
 			}
 		}
@@ -514,8 +519,16 @@ func (m *Machine) ArgValue(addr int64) (Value, error) {
 // RunCall invokes the named function with the given arguments and runs it
 // to completion.  A nil *RunError means the call returned normally.
 func (m *Machine) RunCall(fn string, args []Value) (Value, *RunError) {
-	f, ok := m.prog.Lookup(fn)
-	if !ok {
+	if fn != m.callName || m.callF == nil {
+		// A search calls the same toplevel on every run: resolve the name
+		// once per machine, not per run.
+		m.callName, m.callF = fn, m.prog.Funcs[fn]
+		if m.code != nil {
+			m.callC = m.code.funcs[fn]
+		}
+	}
+	f := m.callF
+	if f == nil {
 		return Value{}, &RunError{Outcome: Crashed, Msg: "no such function " + fn}
 	}
 	if len(args) != len(f.Params) {
@@ -525,7 +538,7 @@ func (m *Machine) RunCall(fn string, args []Value) (Value, *RunError) {
 		}
 	}
 	if m.code != nil {
-		return m.execCompiled(m.code.funcs[fn], args)
+		return m.execCompiled(m.callC, args)
 	}
 	return m.exec(f, args)
 }
@@ -672,15 +685,11 @@ func (m *Machine) noteDecision(addr, v int64, tainted bool) error {
 		return nil
 	}
 	l, ok := m.sym[addr]
-	if !ok || len(l.Coeffs) != 1 || l.Const != 0 {
+	if !ok {
 		return nil
 	}
-	var sv symbolic.Var
-	var coeff int64
-	for v, k := range l.Coeffs {
-		sv, coeff = v, k
-	}
-	if coeff != 1 || !m.inputs.IsPointerVar(sv) || m.decided[sv] {
+	sv, unit := l.UnitVar()
+	if !unit || !m.isPointerVar(sv) || m.decided[sv] {
 		return nil
 	}
 	m.decided[sv] = true
@@ -798,8 +807,7 @@ func (m *Machine) doCall(ins *ir.Call, frame int64) *RunError {
 // doCallExt simulates an external function: its return value is a fresh
 // environment input (Sec. 3.2's simulated external functions).
 func (m *Machine) doCallExt(ins *ir.CallExt, frame int64) *RunError {
-	n := m.extCounts[ins.Fn]
-	m.extCounts[ins.Fn] = n + 1
+	slot := m.extSlot(ins.Fn)
 	if ins.Dst == nil || types.IsVoid(ins.Result) {
 		return nil
 	}
@@ -807,8 +815,7 @@ func (m *Machine) doCallExt(ins *ir.CallExt, frame int64) *RunError {
 	if err != nil {
 		return m.memErr(err, ins.Pos)
 	}
-	key := fmt.Sprintf("ext:%s#%d", ins.Fn, n)
-	if err := m.RandomInit(addr, ins.Result, key); err != nil {
+	if err := m.RandomInit(addr, ins.Result, slot); err != nil {
 		return m.memErr(err, ins.Pos)
 	}
 	return nil

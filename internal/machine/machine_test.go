@@ -18,7 +18,6 @@ type fixedSource struct {
 	pointers map[string]bool
 	rand     *rng.R
 	varByKey map[string]symbolic.Var
-	kinds    map[symbolic.Var]symbolic.VarKind
 }
 
 func newFixedSource() *fixedSource {
@@ -27,36 +26,30 @@ func newFixedSource() *fixedSource {
 		pointers: map[string]bool{},
 		rand:     rng.New(99),
 		varByKey: map[string]symbolic.Var{},
-		kinds:    map[symbolic.Var]symbolic.VarKind{},
 	}
 }
 
-func (s *fixedSource) ScalarInput(key string, b *types.Basic) int64 {
-	if v, ok := s.scalars[key]; ok {
+func (s *fixedSource) ScalarInput(slot *Slot, b *types.Basic) int64 {
+	if v, ok := s.scalars[slot.Key]; ok {
 		return v
 	}
 	return types.Truncate(b, s.rand.Bits(b.Bits()))
 }
 
-func (s *fixedSource) PointerInput(key string) bool {
-	if v, ok := s.pointers[key]; ok {
+func (s *fixedSource) PointerInput(slot *Slot) bool {
+	if v, ok := s.pointers[slot.Key]; ok {
 		return v
 	}
 	return s.rand.Coin()
 }
 
-func (s *fixedSource) VarOf(key string, kind symbolic.VarKind, _ *types.Basic) (symbolic.Var, bool) {
+func (s *fixedSource) VarOf(key string, _ symbolic.VarKind, _ *types.Basic) (symbolic.Var, bool) {
 	if v, ok := s.varByKey[key]; ok {
 		return v, true
 	}
 	v := symbolic.Var(len(s.varByKey))
 	s.varByKey[key] = v
-	s.kinds[v] = kind
 	return v, true
-}
-
-func (s *fixedSource) IsPointerVar(v symbolic.Var) bool {
-	return s.kinds[v] == symbolic.PointerVar
 }
 
 func compile(t *testing.T, src string) *ir.Prog {
@@ -502,7 +495,7 @@ int f(struct outer *o) { return 0; }
 		t.Fatal(err)
 	}
 	cell, _ := m.Mem().Alloc(1)
-	if err := m.RandomInit(cell, mustPtrType(t, prog, "outer"), "top"); err != nil {
+	if err := m.RandomInit(cell, mustPtrType(t, prog, "outer"), &Slot{Key: "top"}); err != nil {
 		t.Fatal(err)
 	}
 	base, _ := m.Mem().Load(cell)
@@ -584,7 +577,7 @@ int f(struct s *p) { return p->v; }
 	src.pointers["arg"] = true
 	m, _ := New(Config{Prog: prog, Inputs: src, ShapeSearch: true})
 	cell, _ := m.Mem().Alloc(1)
-	if err := m.RandomInit(cell, mustPtrType(t, prog, "s"), "arg"); err != nil {
+	if err := m.RandomInit(cell, mustPtrType(t, prog, "s"), &Slot{Key: "arg"}); err != nil {
 		t.Fatal(err)
 	}
 	av, _ := m.ArgValue(cell)
@@ -614,7 +607,7 @@ int f(struct s *p) { if (p != NULL) return p->v; return 0; }
 	src.pointers["arg"] = true
 	m, _ := New(Config{Prog: prog, Inputs: src, ShapeSearch: false})
 	cell, _ := m.Mem().Alloc(1)
-	_ = m.RandomInit(cell, mustPtrType(t, prog, "s"), "arg")
+	_ = m.RandomInit(cell, mustPtrType(t, prog, "s"), &Slot{Key: "arg"})
 	av, _ := m.ArgValue(cell)
 	if _, rerr := m.RunCall("f", []Value{av}); rerr != nil {
 		t.Fatal(rerr)
@@ -797,5 +790,61 @@ int f(int x) {
 `
 	if got := callInt(t, src, "f", 6); got != 2 {
 		t.Errorf("f(6) = %d", got)
+	}
+}
+
+// countingSource is a fixedSource that counts VarOf consultations.
+type countingSource struct {
+	*fixedSource
+	varOfCalls int
+}
+
+func (s *countingSource) VarOf(key string, kind symbolic.VarKind, b *types.Basic) (symbolic.Var, bool) {
+	s.varOfCalls++
+	return s.fixedSource.VarOf(key, kind, b)
+}
+
+// TestSlotTreeSurvivesReset checks the input-slot tree's contract: each
+// slot's portable key is rendered once and its variable bound once per
+// machine, so a run after Reset walks the cached slots — and extern
+// globals, external-call results, fields, dereferences and array
+// elements keep their portable names.
+func TestSlotTreeSurvivesReset(t *testing.T) {
+	prog := compile(t, `
+struct pkt { int len; char buf[2]; struct pkt *next; };
+extern int limit;
+extern int sensor();
+int f(struct pkt *p, int k) { return sensor() + limit + k; }
+`)
+	fn, _ := prog.Lookup("f")
+	src := &countingSource{fixedSource: newFixedSource()}
+	src.pointers["d0.p"] = true
+	src.pointers["d0.p.*.next"] = false
+	m, err := New(Config{Prog: prog, Inputs: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := make([]Value, len(fn.Params))
+	for run := 0; run < 3; run++ {
+		if run > 0 {
+			if err := m.Reset(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.InitArgs(fn, 0, args); err != nil {
+			t.Fatal(err)
+		}
+		if _, rerr := m.RunCall("f", args); rerr != nil {
+			t.Fatal(rerr)
+		}
+	}
+	want := []string{"g:limit", "d0.p", "d0.p.*.len", "d0.p.*.buf[0]", "d0.p.*.buf[1]", "d0.p.*.next", "d0.k", "ext:sensor#0"}
+	if src.varOfCalls != len(want) {
+		t.Errorf("VarOf consulted %d times over 3 runs, want once per slot (%d)", src.varOfCalls, len(want))
+	}
+	for i, key := range want {
+		if v, ok := src.varByKey[key]; !ok || int(v) != i {
+			t.Errorf("slot %q: var %d (bound %v), want var %d in first-visit order", key, v, ok, i)
+		}
 	}
 }

@@ -15,12 +15,11 @@ import (
 	"dart/internal/obs"
 )
 
-// ringSlot holds one published event.  The event is stored behind an
-// atomic pointer (immutable once stored) and published by setting seq
-// to ticket+1, so readers never touch a half-written Event.
+// ringSlot holds one published event behind an atomic pointer: the
+// event is immutable once stored and carries its ticket as Seq, so a
+// reader sees a slot's event and ticket together or not at all.
 type ringSlot struct {
-	seq atomic.Uint64
-	ev  atomic.Pointer[obs.Event]
+	ev atomic.Pointer[obs.Event]
 }
 
 // ring is the broadcast buffer.  size must be a power of two.
@@ -49,7 +48,10 @@ func newRing(size int) *ring {
 }
 
 // publish stores ev and never blocks; the oldest retained event is
-// overwritten once the ring is full.
+// overwritten once the ring is full.  A publisher delayed between
+// claiming its ticket and storing may find its slot already holding a
+// newer ticket's event; it then leaves the newer event in place (its
+// own is a drop, exactly as if it had been overwritten).
 func (r *ring) publish(ev obs.Event) {
 	t := r.head.Add(1) - 1
 	s := &r.slots[t&r.mask]
@@ -57,8 +59,15 @@ func (r *ring) publish(ev obs.Event) {
 	// Stamp the ticket as the event's sequence number: /events readers
 	// see a gap in seq exactly where the ring overwrote events.
 	e.Seq = t
-	s.ev.Store(&e)
-	s.seq.Store(t + 1)
+	for {
+		old := s.ev.Load()
+		if old != nil && old.Seq > t {
+			return
+		}
+		if s.ev.CompareAndSwap(old, &e) {
+			return
+		}
+	}
 }
 
 // published returns the total number of events ever published.
@@ -103,22 +112,12 @@ func (s *subscriber) next() (ev obs.Event, ok bool) {
 			s.r.dropped.Add(skip)
 			s.cursor += skip
 		}
-		slot := &s.r.slots[s.cursor&s.r.mask]
-		seq := slot.seq.Load()
+		p := s.r.slots[s.cursor&s.r.mask].ev.Load()
 		switch {
-		case seq == s.cursor+1:
-			p := slot.ev.Load()
-			if slot.seq.Load() != s.cursor+1 {
-				// Overwritten between the check and the load; the event
-				// for this ticket is unrecoverable.
-				s.dropped++
-				s.r.dropped.Add(1)
-				s.cursor++
-				continue
-			}
+		case p != nil && p.Seq == s.cursor:
 			s.cursor++
 			return *p, true
-		case seq > s.cursor+1:
+		case p != nil && p.Seq > s.cursor:
 			// The slot was already lapped; this ticket's event is gone.
 			s.dropped++
 			s.r.dropped.Add(1)

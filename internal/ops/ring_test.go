@@ -81,6 +81,9 @@ func TestRingConcurrentAccounting(t *testing.T) {
 	const producers = 4
 	const perProducer = 5000
 	r := newRing(64)
+	// Subscribe before publishing: a late subscriber starts at the
+	// oldest retained event and never owned the history before it.
+	sub := r.subscribe()
 	var wg sync.WaitGroup
 	var stop atomic.Bool
 	for p := 0; p < producers; p++ {
@@ -95,7 +98,6 @@ func TestRingConcurrentAccounting(t *testing.T) {
 	received := uint64(0)
 	var lastSeq int64 = -1
 	done := make(chan struct{})
-	sub := r.subscribe()
 	go func() {
 		defer close(done)
 		for {

@@ -180,11 +180,18 @@ func (p *parser) structDecl() ast.Decl {
 	p.expect(token.LBRACE)
 	var fields []ast.Param
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
+		before := p.pos
 		spec := p.typeSpec()
 		fname := p.expect(token.IDENT).Lit
 		spec = p.arraySuffix(spec)
-		fields = append(fields, ast.Param{Name: fname, Spec: spec})
 		p.expect(token.SEMICOLON)
+		if p.pos == before {
+			// Guarantee progress on malformed input: a member that
+			// consumed nothing would otherwise repeat forever.
+			p.sync()
+			continue
+		}
+		fields = append(fields, ast.Param{Name: fname, Spec: spec})
 	}
 	p.expect(token.RBRACE)
 	p.expect(token.SEMICOLON)
@@ -430,7 +437,7 @@ func (p *parser) switchStmt(pos token.Pos) ast.Stmt {
 			c = &ast.Case{TokPos: casePos}
 		default:
 			p.errorf(casePos, "expected case or default in switch, found %s", p.cur())
-			p.sync()
+			p.sync() // consumes: the current token is neither } nor EOF
 			continue
 		}
 		for !p.at(token.KwCase) && !p.at(token.KwDefault) &&

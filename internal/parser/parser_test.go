@@ -3,6 +3,7 @@ package parser
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"dart/internal/ast"
 )
@@ -309,5 +310,31 @@ func TestSwitchErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("%q: expected a parse error", src)
 		}
+	}
+}
+
+// TestMalformedStructMemberTerminates is the one-byte miniSIP corruption
+// (a comment opener lost inside a struct): a member that consumes no
+// token used to repeat forever, growing the field list until the process
+// ran out of memory.  It must end in a positioned parse error.
+func TestMalformedStructMemberTerminates(t *testing.T) {
+	const src = "struct s { int a; 1 = x */ int b; };\nint f(int x) { return x; }\n"
+	done := make(chan error, 1)
+	go func() {
+		_, err := Parse(src)
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(time.Second):
+		panic("Parse did not terminate on a malformed struct member")
+	}
+	list, ok := err.(ErrorList)
+	if !ok || len(list) == 0 {
+		t.Fatalf("Parse error = %v (%T), want a non-empty ErrorList", err, err)
+	}
+	if first := list[0]; first.Pos.Line != 1 || first.Pos.Col != 19 {
+		t.Errorf("first error at %s, want 1:19 (the stray 1): %v", first.Pos, first)
 	}
 }

@@ -369,3 +369,22 @@ func TestHTTPEventsCarryJobTags(t *testing.T) {
 		t.Errorf("per-search events not tagged with the job id:\n%.600s", events)
 	}
 }
+
+// TestHTTPMalformedStructIs400 submits the one-byte miniSIP corruption
+// that once sent the parser into an unbounded loop: the submission must
+// cost a 400 carrying the parse position, and the service must keep
+// serving afterwards.
+func TestHTTPMalformedStructIs400(t *testing.T) {
+	_, ts := newHTTPService(t, Config{})
+	src := "struct s { int a; 1 = x */ int b; };\nint f(int x) { return x; }\n"
+	resp, body := post(t, ts.URL+"/jobs", src)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed struct: %d, want 400\n%s", resp.StatusCode, body)
+	}
+	if !strings.Contains(body, "1:19") {
+		t.Errorf("400 body does not carry the parse position 1:19: %q", body)
+	}
+	if resp, body := post(t, ts.URL+"/jobs?runs=50", progs.Section21); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("service did not stay up: POST /jobs after the bad submission: %d\n%s", resp.StatusCode, body)
+	}
+}

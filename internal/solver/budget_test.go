@@ -8,7 +8,7 @@ import (
 
 func TestSolveWorkDefaultBudgetSat(t *testing.T) {
 	pc := []symbolic.Pred{pred(symbolic.EQ, -10, 0, 1)}
-	sol, v := SolveWork(pc, intMeta, nil, 0)
+	sol, v := SolveWork(pc, intMeta, symbolic.Vector{}, 0)
 	if v != Sat {
 		t.Fatalf("verdict = %v, want Sat", v)
 	}
@@ -26,13 +26,13 @@ func TestSolveWorkTinyBudgetExhausts(t *testing.T) {
 		pred(symbolic.LE, -5, 2, 1),       // z <= 5
 		pred(symbolic.GE, 5, 0, 1),        // x >= -5
 	}
-	_, v := SolveWork(pc, intMeta, nil, 1)
+	_, v := SolveWork(pc, intMeta, symbolic.Vector{}, 1)
 	if v != BudgetExhausted {
 		t.Fatalf("verdict = %v, want BudgetExhausted for a 1-unit budget", v)
 	}
 
 	// The same system solves under the default budget.
-	sol, v := SolveWork(pc, intMeta, nil, DefaultWork)
+	sol, v := SolveWork(pc, intMeta, symbolic.Vector{}, DefaultWork)
 	if v != Sat {
 		t.Fatalf("verdict = %v, want Sat under the default budget", v)
 	}
@@ -50,7 +50,7 @@ func TestSolveWorkUnsatStaysUnsat(t *testing.T) {
 		pred(symbolic.EQ, 0, 0, 1, 1, -1),
 		pred(symbolic.EQ, 10, 0, 1, 1, -1),
 	}
-	if _, v := SolveWork(pc, intMeta, nil, DefaultWork); v != Unsat {
+	if _, v := SolveWork(pc, intMeta, symbolic.Vector{}, DefaultWork); v != Unsat {
 		t.Fatalf("verdict = %v, want Unsat", v)
 	}
 }

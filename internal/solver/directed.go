@@ -180,7 +180,7 @@ func CanonicalSliceScratch(pc []symbolic.Pred, parent map[symbolic.Var]symbolic.
 // solver being a pure function of its input.  The hint belongs in the
 // key because Solve seeds candidate enumeration and disequality splits
 // from it; variables absent from the hint are recorded as such.
-func CacheKey(slice []symbolic.Pred, hint map[symbolic.Var]int64) string {
+func CacheKey(slice []symbolic.Pred, hint symbolic.Vector) string {
 	var b strings.Builder
 	b.Grow(32 * (len(slice) + 1))
 	vs := make([]symbolic.Var, 0, 16) // every slice variable, with repeats
@@ -196,7 +196,7 @@ func CacheKey(slice []symbolic.Pred, hint map[symbolic.Var]int64) string {
 		}
 		b.WriteString(strconv.Itoa(int(v)))
 		b.WriteByte('=')
-		if h, ok := hint[v]; ok {
+		if h, ok := hint.Get(v); ok {
 			b.WriteString(strconv.FormatInt(h, 10))
 		} else {
 			b.WriteByte('?')
@@ -266,7 +266,7 @@ func predKey(p symbolic.Pred) string {
 // run this against the unsliced constraint whenever predicates were
 // pruned, re-establishing the package-doc soundness contract at the
 // full-conjunction level.
-func VerifyAssignment(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, sol, hint map[symbolic.Var]int64) bool {
+func VerifyAssignment(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, sol map[symbolic.Var]int64, hint symbolic.Vector) bool {
 	return VerifyAssignmentScratch(pc, meta, sol, hint, nil)
 }
 
@@ -274,7 +274,7 @@ func VerifyAssignment(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, sol, 
 // scratch map for the completed assignment: assign (if non-nil) is
 // cleared and reused, so a search's many verifications share one map.
 // The scratch holds nothing the caller must preserve after return.
-func VerifyAssignmentScratch(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, sol, hint, assign map[symbolic.Var]int64) bool {
+func VerifyAssignmentScratch(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, sol map[symbolic.Var]int64, hint symbolic.Vector, assign map[symbolic.Var]int64) bool {
 	if assign != nil {
 		clear(assign)
 	}
@@ -299,7 +299,7 @@ func VerifyAssignmentScratch(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta
 				if x, ok := sol[v]; ok {
 					assign[v] = x
 				} else {
-					assign[v] = hint[v]
+					assign[v] = hint.Value(v)
 				}
 			}
 		}

@@ -46,7 +46,7 @@ func TestCanonicalSlicePreservesOrder(t *testing.T) {
 	// And the identical pc must slice to the identical key — the solves
 	// the directed loop actually repeats.
 	again, _ := CanonicalSlice(clusterPC())
-	if CacheKey(slice, nil) != CacheKey(again, nil) {
+	if CacheKey(slice, symbolic.Vector{}) != CacheKey(again, symbolic.Vector{}) {
 		t.Error("identical conjunctions produced different cache keys")
 	}
 }
@@ -57,7 +57,7 @@ func TestCacheKeyOrderSensitive(t *testing.T) {
 	// makes a cache hit provably identical to a fresh solve.
 	a := []symbolic.Pred{pred(symbolic.GT, 0, 0, 1), pred(symbolic.LT, -5, 0, 1)}
 	b := []symbolic.Pred{a[1], a[0]}
-	if CacheKey(a, nil) == CacheKey(b, nil) {
+	if CacheKey(a, symbolic.Vector{}) == CacheKey(b, symbolic.Vector{}) {
 		t.Error("reordered slices must not share a cache key")
 	}
 }
@@ -89,14 +89,14 @@ func TestCanonicalSliceFallbackKeepsAll(t *testing.T) {
 
 func TestCacheKeyIncludesHintOfSliceVars(t *testing.T) {
 	slice, _ := CanonicalSlice(clusterPC())
-	k1 := CacheKey(slice, map[symbolic.Var]int64{0: 1})
-	k2 := CacheKey(slice, map[symbolic.Var]int64{0: 2})
+	k1 := CacheKey(slice, symbolic.VectorOf(map[symbolic.Var]int64{0: 1}))
+	k2 := CacheKey(slice, symbolic.VectorOf(map[symbolic.Var]int64{0: 2}))
 	if k1 == k2 {
 		t.Error("different hints for a slice variable must produce different keys")
 	}
 	// Hints for variables outside the slice are irrelevant to the solve
 	// and must not fragment the key space.
-	k3 := CacheKey(slice, map[symbolic.Var]int64{0: 1, 2: 99, 3: -7})
+	k3 := CacheKey(slice, symbolic.VectorOf(map[symbolic.Var]int64{0: 1, 2: 99, 3: -7}))
 	if k1 != k3 {
 		t.Error("hints of non-slice variables must not change the key")
 	}
@@ -155,13 +155,13 @@ func TestVerifyAssignmentFullConjunction(t *testing.T) {
 	pc := clusterPC()
 	sol := map[symbolic.Var]int64{0: 3}
 	hint := map[symbolic.Var]int64{1: 5, 2: 20, 3: 0}
-	if !VerifyAssignment(pc, intMeta, sol, hint) {
+	if !VerifyAssignment(pc, intMeta, sol, symbolic.VectorOf(hint)) {
 		t.Error("a satisfying slice solution completed by a satisfying hint must verify")
 	}
 	// A pruned-component violation must fail verification even though the
 	// solved slice is satisfied.
 	bad := map[symbolic.Var]int64{1: -5, 2: 20, 3: 0}
-	if VerifyAssignment(pc, intMeta, sol, bad) {
+	if VerifyAssignment(pc, intMeta, sol, symbolic.VectorOf(bad)) {
 		t.Error("a violated pruned predicate must fail full-conjunction verification")
 	}
 }
@@ -170,17 +170,17 @@ func TestVerifyAssignmentRejectsOverflow(t *testing.T) {
 	// 2*v0 > 0 under v0 = MaxInt64 wraps to -2: a wrapping evaluation
 	// would accept the candidate, the checked one must reject it.
 	pc := []symbolic.Pred{pred(symbolic.GT, 0, 0, 2)}
-	if VerifyAssignment(pc, intMeta, map[symbolic.Var]int64{0: math.MaxInt64}, nil) {
+	if VerifyAssignment(pc, intMeta, map[symbolic.Var]int64{0: math.MaxInt64}, symbolic.Vector{}) {
 		t.Error("overflowing multiplication accepted")
 	}
 	// -1 * MinInt64 is the one product the quotient check misses.
 	pc = []symbolic.Pred{pred(symbolic.GT, 0, 0, -1)}
-	if VerifyAssignment(pc, intMeta, map[symbolic.Var]int64{0: math.MinInt64}, nil) {
+	if VerifyAssignment(pc, intMeta, map[symbolic.Var]int64{0: math.MinInt64}, symbolic.Vector{}) {
 		t.Error("-1 * MinInt64 accepted")
 	}
 	// Sanity: the same shapes without overflow verify.
 	pc = []symbolic.Pred{pred(symbolic.GT, 0, 0, 2)}
-	if !VerifyAssignment(pc, intMeta, map[symbolic.Var]int64{0: 5}, nil) {
+	if !VerifyAssignment(pc, intMeta, map[symbolic.Var]int64{0: 5}, symbolic.Vector{}) {
 		t.Error("in-range candidate rejected")
 	}
 }
@@ -191,11 +191,11 @@ func TestSlicedSolveVerifiesAgainstFullPC(t *testing.T) {
 	pc := clusterPC()
 	hint := map[symbolic.Var]int64{0: 7, 1: 5, 2: 20, 3: 0} // parent run: v0 >= 5 branch not yet flipped
 	slice, _ := CanonicalSlice(pc)
-	sol, verdict, _ := SolveWorkStats(slice, intMeta, hint, 0)
+	sol, verdict, _ := SolveWorkStats(slice, intMeta, symbolic.VectorOf(hint), 0)
 	if verdict != Sat {
 		t.Fatalf("slice verdict = %v, want sat", verdict)
 	}
-	if !VerifyAssignment(pc, intMeta, sol, hint) {
+	if !VerifyAssignment(pc, intMeta, sol, symbolic.VectorOf(hint)) {
 		t.Errorf("sliced solution %v (hint %v) fails the full conjunction", sol, hint)
 	}
 }

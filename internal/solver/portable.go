@@ -57,7 +57,7 @@ const portableKeyVersion = "pk1"
 // hint values by name.  name and meta resolve a variable to its stable
 // input key and solver domain; both must be total over the slice's
 // variables.
-func PortableKey(slice []symbolic.Pred, hint map[symbolic.Var]int64, budget int64, name func(symbolic.Var) string, meta func(symbolic.Var) VarMeta) string {
+func PortableKey(slice []symbolic.Pred, hint symbolic.Vector, budget int64, name func(symbolic.Var) string, meta func(symbolic.Var) VarMeta) string {
 	var b strings.Builder
 	b.Grow(64 * (len(slice) + 1))
 	b.WriteString(portableKeyVersion)
@@ -122,7 +122,7 @@ func PortableKey(slice []symbolic.Pred, hint map[symbolic.Var]int64, budget int6
 	for _, n := range names {
 		writeName(&b, n)
 		b.WriteByte('=')
-		if h, ok := hint[byName[n]]; ok {
+		if h, ok := hint.Get(byName[n]); ok {
 			b.WriteString(strconv.FormatInt(h, 10))
 		} else {
 			b.WriteByte('?')

@@ -49,8 +49,8 @@ func TestPortableKeyNumberingIndependent(t *testing.T) {
 	hintA := map[symbolic.Var]int64{0: 3, 1: 2}
 	hintB := map[symbolic.Var]int64{1: 3, 0: 2}
 
-	ka := PortableKey(pcA, hintA, DefaultWork, a.name, a.meta)
-	kb := PortableKey(pcB, hintB, DefaultWork, b.name, b.meta)
+	ka := PortableKey(pcA, symbolic.VectorOf(hintA), DefaultWork, a.name, a.meta)
+	kb := PortableKey(pcB, symbolic.VectorOf(hintB), DefaultWork, b.name, b.meta)
 	if ka != kb {
 		t.Errorf("same semantic solve rendered to different portable keys:\n  %s\n  %s", ka, kb)
 	}
@@ -63,7 +63,7 @@ func TestPortableKeyDiscriminates(t *testing.T) {
 	}
 	pc := []symbolic.Pred{portablePred(symbolic.EQ, -7, map[symbolic.Var]int64{0: 1})}
 	hint := map[symbolic.Var]int64{0: 3}
-	base := PortableKey(pc, hint, DefaultWork, env.name, env.meta)
+	base := PortableKey(pc, symbolic.VectorOf(hint), DefaultWork, env.name, env.meta)
 
 	// A different domain for the same name must change the key: the
 	// solver's answer depends on it.
@@ -71,21 +71,21 @@ func TestPortableKeyDiscriminates(t *testing.T) {
 		names: []string{"d0.x"},
 		metas: []VarMeta{intMetaFor(0, 5)},
 	}
-	if k := PortableKey(pc, hint, DefaultWork, narrow.name, narrow.meta); k == base {
+	if k := PortableKey(pc, symbolic.VectorOf(hint), DefaultWork, narrow.name, narrow.meta); k == base {
 		t.Error("portable key ignored the variable domain")
 	}
 	// A different budget must change the key: BudgetExhausted verdicts
 	// are budget-relative.
-	if k := PortableKey(pc, hint, DefaultWork/2, env.name, env.meta); k == base {
+	if k := PortableKey(pc, symbolic.VectorOf(hint), DefaultWork/2, env.name, env.meta); k == base {
 		t.Error("portable key ignored the work budget")
 	}
 	// A different hint must change the key, like CacheKey.
-	if k := PortableKey(pc, map[symbolic.Var]int64{0: 4}, DefaultWork, env.name, env.meta); k == base {
+	if k := PortableKey(pc, symbolic.VectorOf(map[symbolic.Var]int64{0: 4}), DefaultWork, env.name, env.meta); k == base {
 		t.Error("portable key ignored the hint")
 	}
 	// A different predicate must change the key.
 	pc2 := []symbolic.Pred{portablePred(symbolic.EQ, -8, map[symbolic.Var]int64{0: 1})}
-	if k := PortableKey(pc2, hint, DefaultWork, env.name, env.meta); k == base {
+	if k := PortableKey(pc2, symbolic.VectorOf(hint), DefaultWork, env.name, env.meta); k == base {
 		t.Error("portable key ignored the predicate")
 	}
 }

@@ -132,7 +132,7 @@ func (b *budgetState) spend(n int64) bool {
 // execution prefix stable).  The returned map assigns every variable that
 // occurs in pc (pointer variables to PtrNull/PtrAlloc); variables not
 // occurring are absent and keep their old values.
-func Solve(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint map[symbolic.Var]int64) (map[symbolic.Var]int64, bool) {
+func Solve(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint symbolic.Vector) (map[symbolic.Var]int64, bool) {
 	sol, verdict := SolveWork(pc, meta, hint, DefaultWork)
 	return sol, verdict == Sat
 }
@@ -142,7 +142,7 @@ func Solve(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint map[symboli
 // verdict instead of conflating "too expensive" with "infeasible", so
 // callers can degrade gracefully (clear completeness, keep searching)
 // rather than either hanging or silently over-claiming.
-func SolveWork(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint map[symbolic.Var]int64, work int64) (map[symbolic.Var]int64, Verdict) {
+func SolveWork(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint symbolic.Vector, work int64) (map[symbolic.Var]int64, Verdict) {
 	sol, verdict, _ := SolveWorkStats(pc, meta, hint, work)
 	return sol, verdict
 }
@@ -157,7 +157,7 @@ type Stats struct {
 
 // SolveWorkStats is SolveWork, additionally reporting how much of the
 // budget the solve consumed so callers can meter solver effort.
-func SolveWorkStats(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint map[symbolic.Var]int64, work int64) (map[symbolic.Var]int64, Verdict, Stats) {
+func SolveWorkStats(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint symbolic.Vector, work int64) (map[symbolic.Var]int64, Verdict, Stats) {
 	if work <= 0 {
 		work = DefaultWork
 	}
@@ -178,7 +178,7 @@ func SolveWorkStats(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint ma
 	}
 }
 
-func solve(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint map[symbolic.Var]int64, budget *budgetState) (map[symbolic.Var]int64, bool) {
+func solve(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint symbolic.Vector, budget *budgetState) (map[symbolic.Var]int64, bool) {
 	var intPreds []symbolic.Pred
 	var ptrPreds []symbolic.Pred
 	ptrVars := map[symbolic.Var]bool{}
@@ -233,7 +233,7 @@ func solve(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint map[symboli
 	for _, p := range intPreds {
 		for v := range p.L.Coeffs {
 			if _, ok := solution[v]; !ok {
-				solution[v] = hint[v]
+				solution[v] = hint.Value(v)
 			}
 		}
 	}
@@ -273,7 +273,7 @@ const (
 // variables and returns the first under which every pointer predicate is
 // definitely true.  Assignments agreeing with the hint are tried first so
 // don't-care pointers keep their previous shape.
-func solvePointers(preds []symbolic.Pred, vars map[symbolic.Var]bool, hint map[symbolic.Var]int64, budget *budgetState) (map[symbolic.Var]int64, bool) {
+func solvePointers(preds []symbolic.Pred, vars map[symbolic.Var]bool, hint symbolic.Vector, budget *budgetState) (map[symbolic.Var]int64, bool) {
 	if len(preds) == 0 {
 		return map[symbolic.Var]int64{}, true
 	}
@@ -290,7 +290,7 @@ func solvePointers(preds []symbolic.Pred, vars map[symbolic.Var]bool, hint map[s
 	// prefs[i] is the value to try first for ordered[i].
 	prefs := make([]int64, n)
 	for i, v := range ordered {
-		if h, ok := hint[v]; ok && h != 0 {
+		if h, ok := hint.Get(v); ok && h != 0 {
 			prefs[i] = PtrAlloc
 		} else if ok {
 			prefs[i] = PtrNull
@@ -420,7 +420,7 @@ type cons struct {
 
 // solveIntegers decides a conjunction of affine predicates over bounded
 // integer variables.
-func solveIntegers(preds []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint map[symbolic.Var]int64, budget *budgetState) (map[symbolic.Var]int64, bool) {
+func solveIntegers(preds []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint symbolic.Vector, budget *budgetState) (map[symbolic.Var]int64, bool) {
 	if len(preds) == 0 {
 		return map[symbolic.Var]int64{}, true
 	}
@@ -457,13 +457,13 @@ func solveIntegers(preds []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint 
 
 // violatedNE returns the index of the first disequality violated by the
 // assignment (vars absent from the assignment read as their hint), or -1.
-func violatedNE(splits []*symbolic.Lin, assign, hint map[symbolic.Var]int64) int {
+func violatedNE(splits []*symbolic.Lin, assign map[symbolic.Var]int64, hint symbolic.Vector) int {
 	for i, l := range splits {
 		total := l.Const
 		for v, c := range l.Coeffs {
 			val, ok := assign[v]
 			if !ok {
-				val = hint[v]
+				val = hint.Value(v)
 			}
 			total += c * val
 		}
@@ -472,6 +472,16 @@ func violatedNE(splits []*symbolic.Lin, assign, hint map[symbolic.Var]int64) int
 		}
 	}
 	return -1
+}
+
+// evalHint evaluates l with every variable read from the hint (zero
+// when unknown).
+func evalHint(l *symbolic.Lin, hint symbolic.Vector) int64 {
+	total := l.Const
+	for v, k := range l.Coeffs {
+		total += k * hint.Value(v)
+	}
+	return total
 }
 
 func shiftConst(l *symbolic.Lin, d int64) *symbolic.Lin {
@@ -485,7 +495,7 @@ func shiftConst(l *symbolic.Lin, d int64) *symbolic.Lin {
 
 type intSolver struct {
 	meta   func(symbolic.Var) VarMeta
-	hint   map[symbolic.Var]int64
+	hint   symbolic.Vector
 	budget int
 	// nodes counts back-substitution search nodes across the whole
 	// Solve call, bounding total work.
@@ -521,7 +531,7 @@ func (s *intSolver) search(base []cons, splits []*symbolic.Lin) (map[symbolic.Va
 	negBranch := cons{l: shiftConst(l, 1)}                     // L < 0
 	posBranch := cons{l: shiftConst(symbolic.Scale(l, -1), 1)} // L > 0
 	first, second := negBranch, posBranch
-	if l.Eval(s.hint) > 0 {
+	if evalHint(l, s.hint) > 0 {
 		first, second = posBranch, negBranch
 	}
 	if sol, ok := s.search(append(append([]cons{}, base...), first), rest); ok {
@@ -642,7 +652,7 @@ func (s *intSolver) solveCore(all []cons) (map[symbolic.Var]int64, bool) {
 		sub := subs[i]
 		for v := range sub.expr.Coeffs {
 			if _, have := assign[v]; !have {
-				assign[v] = s.hint[v]
+				assign[v] = s.hint.Value(v)
 			}
 		}
 		assign[sub.v] = sub.expr.Eval(assign)
@@ -888,7 +898,7 @@ const (
 // candidates enumerates up to maxCandidates values in [lo, hi], starting
 // from the hint and zero, then scanning adjacent values so that
 // divisibility constraints with small moduli are always repaired.
-func candidates(lo, hi int64, hint map[symbolic.Var]int64, v symbolic.Var) []int64 {
+func candidates(lo, hi int64, hint symbolic.Vector, v symbolic.Var) []int64 {
 	var out []int64
 	seen := map[int64]bool{}
 	add := func(x int64) {
@@ -897,7 +907,7 @@ func candidates(lo, hi int64, hint map[symbolic.Var]int64, v symbolic.Var) []int
 			out = append(out, x)
 		}
 	}
-	if h, ok := hint[v]; ok {
+	if h, ok := hint.Get(v); ok {
 		add(h)
 	}
 	add(0)
@@ -918,7 +928,7 @@ func candidates(lo, hi int64, hint map[symbolic.Var]int64, v symbolic.Var) []int
 // interval computes the integer interval for v implied by its domain
 // interval and rows, with all other variables read from assign (or hint
 // for don't-cares).
-func interval(v symbolic.Var, b varBounds, rows []*symbolic.Lin, assign, hint map[symbolic.Var]int64) (int64, int64, bool) {
+func interval(v symbolic.Var, b varBounds, rows []*symbolic.Lin, assign map[symbolic.Var]int64, hint symbolic.Vector) (int64, int64, bool) {
 	lo, hi := b.lo, b.hi
 	for _, l := range rows {
 		c := l.Coeff(v)
@@ -929,7 +939,7 @@ func interval(v symbolic.Var, b varBounds, rows []*symbolic.Lin, assign, hint ma
 			}
 			val, have := assign[w]
 			if !have {
-				val = hint[w]
+				val = hint.Value(w)
 				assign[w] = val
 			}
 			restVal += cw * val

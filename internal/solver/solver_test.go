@@ -35,7 +35,7 @@ func mixedMeta(v symbolic.Var) VarMeta {
 
 func mustSolve(t *testing.T, pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint map[symbolic.Var]int64) map[symbolic.Var]int64 {
 	t.Helper()
-	sol, ok := Solve(pc, meta, hint)
+	sol, ok := Solve(pc, meta, symbolic.VectorOf(hint))
 	if !ok {
 		t.Fatalf("no solution for %v", symbolic.PathConstraint(pc))
 	}
@@ -71,7 +71,7 @@ func TestTwoVarEquality(t *testing.T) {
 		pred(symbolic.EQ, 0, 0, 1, 1, -1),   // x - y == 0
 		pred(symbolic.EQ, -10, 1, 1, 0, -1), // y - x - 10 == 0
 	}
-	if _, ok := Solve(pc, intMeta, nil); ok {
+	if _, ok := Solve(pc, intMeta, symbolic.Vector{}); ok {
 		t.Fatal("unsatisfiable system solved")
 	}
 }
@@ -100,7 +100,7 @@ func TestDiophantineRepair(t *testing.T) {
 func TestGCDInfeasible(t *testing.T) {
 	// 2x + 4y == 5 has no integer solution.
 	pc := []symbolic.Pred{pred(symbolic.EQ, -5, 0, 2, 1, 4)}
-	if _, ok := Solve(pc, intMeta, nil); ok {
+	if _, ok := Solve(pc, intMeta, symbolic.Vector{}); ok {
 		t.Fatal("gcd-infeasible equality solved")
 	}
 }
@@ -110,7 +110,7 @@ func TestDomainBounds(t *testing.T) {
 		return VarMeta{Kind: symbolic.ScalarVar, Lo: -128, Hi: 127}
 	}
 	// x > 127 is outside a char's domain.
-	if _, ok := Solve([]symbolic.Pred{pred(symbolic.GT, -127, 0, 1)}, charMeta, nil); ok {
+	if _, ok := Solve([]symbolic.Pred{pred(symbolic.GT, -127, 0, 1)}, charMeta, symbolic.Vector{}); ok {
 		t.Fatal("solved outside the char domain")
 	}
 	// x > 100 within it.
@@ -148,11 +148,11 @@ func TestManyDisequalities(t *testing.T) {
 
 func TestPointerNullAndAlloc(t *testing.T) {
 	ptrMeta := func(symbolic.Var) VarMeta { return VarMeta{Kind: symbolic.PointerVar} }
-	sol, ok := Solve([]symbolic.Pred{pred(symbolic.EQ, 0, 0, 1)}, ptrMeta, nil)
+	sol, ok := Solve([]symbolic.Pred{pred(symbolic.EQ, 0, 0, 1)}, ptrMeta, symbolic.Vector{})
 	if !ok || sol[0] != PtrNull {
 		t.Fatalf("p == 0: %v ok=%v", sol, ok)
 	}
-	sol, ok = Solve([]symbolic.Pred{pred(symbolic.NE, 0, 0, 1)}, ptrMeta, nil)
+	sol, ok = Solve([]symbolic.Pred{pred(symbolic.NE, 0, 0, 1)}, ptrMeta, symbolic.Vector{})
 	if !ok || sol[0] != PtrAlloc {
 		t.Fatalf("p != 0: %v ok=%v", sol, ok)
 	}
@@ -161,7 +161,7 @@ func TestPointerNullAndAlloc(t *testing.T) {
 func TestPointerAliasing(t *testing.T) {
 	ptrMeta := func(symbolic.Var) VarMeta { return VarMeta{Kind: symbolic.PointerVar} }
 	// p == q is only realizable with both NULL.
-	sol, ok := Solve([]symbolic.Pred{pred(symbolic.EQ, 0, 0, 1, 1, -1)}, ptrMeta, nil)
+	sol, ok := Solve([]symbolic.Pred{pred(symbolic.EQ, 0, 0, 1, 1, -1)}, ptrMeta, symbolic.Vector{})
 	if !ok || sol[0] != PtrNull || sol[1] != PtrNull {
 		t.Fatalf("p == q: %v ok=%v", sol, ok)
 	}
@@ -170,11 +170,11 @@ func TestPointerAliasing(t *testing.T) {
 		pred(symbolic.EQ, 0, 0, 1, 1, -1),
 		pred(symbolic.NE, 0, 0, 1),
 	}
-	if _, ok := Solve(pc, ptrMeta, nil); ok {
+	if _, ok := Solve(pc, ptrMeta, symbolic.Vector{}); ok {
 		t.Fatal("aliasing of two fresh allocations should be unsolvable")
 	}
 	// p != q is realizable (two distinct allocations).
-	if _, ok := Solve([]symbolic.Pred{pred(symbolic.NE, 0, 0, 1, 1, -1)}, ptrMeta, nil); !ok {
+	if _, ok := Solve([]symbolic.Pred{pred(symbolic.NE, 0, 0, 1, 1, -1)}, ptrMeta, symbolic.Vector{}); !ok {
 		t.Fatal("p != q should be solvable")
 	}
 }
@@ -182,11 +182,11 @@ func TestPointerAliasing(t *testing.T) {
 func TestPointerAgainstConstant(t *testing.T) {
 	ptrMeta := func(symbolic.Var) VarMeta { return VarMeta{Kind: symbolic.PointerVar} }
 	// p == 1234 cannot be targeted by random_init.
-	if _, ok := Solve([]symbolic.Pred{pred(symbolic.EQ, -1234, 0, 1)}, ptrMeta, nil); ok {
+	if _, ok := Solve([]symbolic.Pred{pred(symbolic.EQ, -1234, 0, 1)}, ptrMeta, symbolic.Vector{}); ok {
 		t.Fatal("pointer equality with a literal address should fail")
 	}
 	// p > 0 is satisfied by an allocation (addresses are positive).
-	sol, ok := Solve([]symbolic.Pred{pred(symbolic.GT, 0, 0, 1)}, ptrMeta, nil)
+	sol, ok := Solve([]symbolic.Pred{pred(symbolic.GT, 0, 0, 1)}, ptrMeta, symbolic.Vector{})
 	if !ok || sol[0] != PtrAlloc {
 		t.Fatalf("p > 0: %v ok=%v", sol, ok)
 	}
@@ -195,19 +195,19 @@ func TestPointerAgainstConstant(t *testing.T) {
 func TestMixedPointerScalarRejected(t *testing.T) {
 	// var0 scalar + var1 pointer in one predicate: conservatively fail.
 	pc := []symbolic.Pred{pred(symbolic.EQ, 0, 0, 1, 1, 1)}
-	if _, ok := Solve(pc, mixedMeta, nil); ok {
+	if _, ok := Solve(pc, mixedMeta, symbolic.Vector{}); ok {
 		t.Fatal("mixed pointer/scalar predicate should be rejected")
 	}
 }
 
 func TestNilLinRejected(t *testing.T) {
-	if _, ok := Solve([]symbolic.Pred{{L: nil, Rel: symbolic.EQ}}, intMeta, nil); ok {
+	if _, ok := Solve([]symbolic.Pred{{L: nil, Rel: symbolic.EQ}}, intMeta, symbolic.Vector{}); ok {
 		t.Fatal("nil form accepted")
 	}
 }
 
 func TestEmptyConstraint(t *testing.T) {
-	sol, ok := Solve(nil, intMeta, nil)
+	sol, ok := Solve(nil, intMeta, symbolic.Vector{})
 	if !ok || len(sol) != 0 {
 		t.Fatalf("empty constraint: %v ok=%v", sol, ok)
 	}
@@ -215,11 +215,11 @@ func TestEmptyConstraint(t *testing.T) {
 
 func TestContradictoryConstants(t *testing.T) {
 	// A constant predicate that is false: 1 == 0.
-	if _, ok := Solve([]symbolic.Pred{pred(symbolic.EQ, 1)}, intMeta, nil); ok {
+	if _, ok := Solve([]symbolic.Pred{pred(symbolic.EQ, 1)}, intMeta, symbolic.Vector{}); ok {
 		t.Fatal("1 == 0 solved")
 	}
 	// A true one is fine.
-	if _, ok := Solve([]symbolic.Pred{pred(symbolic.LE, -1)}, intMeta, nil); !ok {
+	if _, ok := Solve([]symbolic.Pred{pred(symbolic.LE, -1)}, intMeta, symbolic.Vector{}); !ok {
 		t.Fatal("-1 <= 0 rejected")
 	}
 }
@@ -270,7 +270,7 @@ func TestRandomSystemsSoundness(t *testing.T) {
 			l.Const += 0
 			pc = append(pc, symbolic.Pred{L: l, Rel: rel})
 		}
-		sol, ok := Solve(pc, intMeta, nil)
+		sol, ok := Solve(pc, intMeta, symbolic.Vector{})
 		if !ok {
 			t.Fatalf("trial %d: satisfiable system rejected: %v (witness %v)",
 				trial, symbolic.PathConstraint(pc), witness)
@@ -299,7 +299,7 @@ func TestRandomUnsatNeverLies(t *testing.T) {
 			}
 			pc = append(pc, symbolic.Pred{L: l, Rel: rels[r.Intn(len(rels))]})
 		}
-		if sol, ok := Solve(pc, intMeta, nil); ok {
+		if sol, ok := Solve(pc, intMeta, symbolic.Vector{}); ok {
 			for _, p := range pc {
 				if !p.Holds(sol) {
 					t.Fatalf("trial %d: lying solution %v for %v", trial, sol, p)

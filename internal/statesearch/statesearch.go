@@ -71,12 +71,11 @@ func (b *Bug) String() string {
 // deterministic as VeriSoft's closed product requires.
 type fixedInputs struct{}
 
-func (fixedInputs) ScalarInput(string, *types.Basic) int64 { return 0 }
-func (fixedInputs) PointerInput(string) bool               { return false }
+func (fixedInputs) ScalarInput(*machine.Slot, *types.Basic) int64 { return 0 }
+func (fixedInputs) PointerInput(*machine.Slot) bool               { return false }
 func (fixedInputs) VarOf(string, symbolic.VarKind, *types.Basic) (symbolic.Var, bool) {
 	return 0, false
 }
-func (fixedInputs) IsPointerVar(symbolic.Var) bool { return false }
 
 // Search explores input sequences breadth-first with global-state
 // pruning.

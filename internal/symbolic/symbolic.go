@@ -41,6 +41,9 @@ const (
 type Lin struct {
 	Coeffs map[Var]int64
 	Const  int64
+	// unit is v+1 for a form built by NewVar as 1·v + 0 (zero otherwise),
+	// so UnitVar answers without ranging over Coeffs.
+	unit Var
 }
 
 // Shared constant forms for the small values the shadow evaluator
@@ -71,7 +74,7 @@ func NewConst(k int64) *Lin {
 
 // NewVar returns the form 1·v + 0.
 func NewVar(v Var) *Lin {
-	return &Lin{Coeffs: map[Var]int64{v: 1}}
+	return &Lin{Coeffs: map[Var]int64{v: 1}, unit: v + 1}
 }
 
 // Arena batch-allocates Lin headers for the machine's shadow and
@@ -117,7 +120,25 @@ func (ar *Arena) NewConst(k int64) *Lin {
 // NewVar is NewVar through the arena (the header; the coefficient map
 // is still an individual allocation).
 func (ar *Arena) NewVar(v Var) *Lin {
-	return ar.alloc(map[Var]int64{v: 1}, 0)
+	l := ar.alloc(map[Var]int64{v: 1}, 0)
+	l.unit = v + 1
+	return l
+}
+
+// UnitVar reports whether the form is exactly 1·v + 0, returning v.
+func (l *Lin) UnitVar() (Var, bool) {
+	if l.Const != 0 || len(l.Coeffs) != 1 {
+		return 0, false
+	}
+	if l.unit != 0 {
+		// Built by NewVar, and its constant and size still match (the
+		// solver adjusts the constant of fresh NewVar forms).
+		return l.unit - 1, true
+	}
+	for v, k := range l.Coeffs {
+		return v, k == 1
+	}
+	return 0, false
 }
 
 // IsConst reports whether the form has no variables.

@@ -184,3 +184,25 @@ func TestPathConstraintString(t *testing.T) {
 		t.Errorf("pc = %q", got)
 	}
 }
+
+func TestUnitVar(t *testing.T) {
+	shifted := NewVar(4)
+	shifted.Const = -3 // the solver's bound rows adjust fresh NewVar forms
+	for _, c := range []struct {
+		l    *Lin
+		want Var
+		ok   bool
+	}{
+		{NewVar(4), 4, true},
+		{(&Arena{}).NewVar(9), 9, true},
+		{&Lin{Coeffs: map[Var]int64{2: 1}}, 2, true},
+		{&Lin{Coeffs: map[Var]int64{2: 3}}, 0, false},
+		{shifted, 0, false},
+		{Add(NewVar(1), NewVar(2)), 0, false},
+		{NewConst(5), 0, false},
+	} {
+		if v, ok := c.l.UnitVar(); ok != c.ok || (ok && v != c.want) {
+			t.Errorf("%v.UnitVar() = %d, %v; want %d, %v", c.l, v, ok, c.want, c.ok)
+		}
+	}
+}
