@@ -17,6 +17,7 @@ package concolic
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -434,7 +435,7 @@ type engine struct {
 	// Reset between runs so a search's N runs reuse one allocation
 	// footprint.  Never shared across engines.
 	mach *machine.Machine
-	// pcbuf is scratch for solveNext's path-constraint prefix.  The
+	// pcbuf is scratch for a flip attempt's path constraint.  The
 	// solver consumes the slice within the call (retained artifacts —
 	// cache entries, unsat-slice renderings — are copies or strings),
 	// so one buffer serves every flip attempt of the search.
@@ -456,8 +457,11 @@ type engine struct {
 	// Per-run state.
 	stack      []stackEntry
 	k          int
-	forcingOK  bool
 	mispredict bool
+	// random is the random baseline's input source (nil for directed
+	// searches): each run draws fresh inputs from it instead of IM, and
+	// the machine runs without the branch hook or the shape search.
+	random *randomSource
 
 	// seenBugs dedups bugs by signature within this engine; a parallel
 	// search dedups across workers through shared instead.
@@ -477,10 +481,9 @@ type engine struct {
 	// explainer is off).
 	exp      *obs.Explain
 	timeline *obs.Timeline
-	// lastFlip remembers the classic stack engine's most recent solved
-	// flip target, so a misprediction on the very next run can be
-	// attributed to the site whose forced path diverged (the frontier
-	// engines carry the target on the item instead).
+	// lastFlip remembers the most recent solved flip target, so a
+	// misprediction on the very next run can be attributed to the site
+	// whose forced path diverged.
 	lastFlip flipRef
 	// lastTickSolves is the SolverCalls total at the previous timeline
 	// tick (per-run solve deltas feed the timeline's cumulative count).
@@ -594,42 +597,14 @@ func compileFor(prog *ir.Prog, o Options) *machine.Compiled {
 func Run(prog *ir.Prog, opts Options) (*Report, error) {
 	start := time.Now()
 	o := opts.withDefaults()
-	if _, ok := prog.Lookup(o.Toplevel); !ok {
-		return nil, fmt.Errorf("concolic: toplevel function %q is not defined in the program", o.Toplevel)
+	if err := checkToplevel(prog, o.Toplevel); err != nil {
+		return nil, err
 	}
 	if o.Workers > 1 {
 		// The work-stealing parallel frontier engine; see parallel.go.
 		return runParallel(prog, o, start), nil
 	}
-	e := &engine{
-		prog:     prog,
-		code:     compileFor(prog, o),
-		opts:     o,
-		rand:     rng.New(o.Seed),
-		regs:     newVarRegistry(),
-		obs:      o.Observer,
-		metrics:  newMetrics(o),
-		prof:     newProfile(o, 0),
-		exp:      newExplain(o, 0),
-		timeline: newTimeline(o),
-		report: &Report{
-			AllLinear:       true,
-			AllLocsDefinite: true,
-			SolverComplete:  true,
-			Workers:         1,
-			Coverage:        coverage.New(prog.NumSites),
-		},
-	}
-	if o.Timeout > 0 {
-		e.deadline = time.Now().Add(o.Timeout)
-	}
-	if o.SolveCacheCap >= 0 {
-		e.cache = solver.NewCache(o.SolveCacheCap)
-	}
-	e.persist = o.Persistent
-	if o.RecordRuns {
-		e.rec = newRunRecorder(prog.NumSites)
-	}
+	e := newEngine(prog, o, 0, nil)
 	if o.Strategy == DFS {
 		e.search()
 	} else {
@@ -639,30 +614,115 @@ func Run(prog *ir.Prog, opts Options) (*Report, error) {
 		// generational frontier engine instead; see frontier.go.
 		e.runFrontier()
 	}
+	return e.finish(start), nil
+}
+
+func checkToplevel(prog *ir.Prog, name string) error {
+	if _, ok := prog.Lookup(name); !ok {
+		return fmt.Errorf("concolic: toplevel function %q is not defined in the program", name)
+	}
+	return nil
+}
+
+// newEngine builds one engine of a search: the only engine of a
+// sequential or random search (worker 0), or worker w of a parallel
+// pool.  With peer nil it also creates the search-wide state — RNG,
+// input registry, compiled image, deadline, coverage timeline, solve
+// cache, run recorder and, for a pool, the coordinator; a pool's other
+// workers share peer's.
+func newEngine(prog *ir.Prog, o Options, worker int, peer *engine) *engine {
+	fn, _ := prog.Lookup(o.Toplevel)
+	e := &engine{
+		prog:    prog,
+		opts:    o,
+		fn:      fn,
+		argbuf:  make([]machine.Value, len(fn.Params)),
+		worker:  worker,
+		obs:     o.Observer,
+		metrics: newMetrics(o),
+		prof:    newProfile(o, worker),
+		exp:     newExplain(o, worker),
+		persist: o.Persistent,
+		report:  newReport(prog, o.Workers),
+	}
+	if peer != nil {
+		e.rand, e.regs, e.code, e.deadline = peer.rand, peer.regs, peer.code, peer.deadline
+		e.timeline, e.cache, e.rec, e.shared = peer.timeline, peer.cache, peer.rec, peer.shared
+		return e
+	}
+	e.rand = rng.New(o.Seed)
+	e.regs = newVarRegistry()
+	e.code = compileFor(prog, o)
+	if o.Timeout > 0 {
+		e.deadline = time.Now().Add(o.Timeout)
+	}
+	e.timeline = newTimeline(o)
+	switch {
+	case o.SolveCacheCap < 0:
+	case o.Workers > 1:
+		e.cache = solver.NewShardedCache(o.SolveCacheCap, o.Workers)
+	default:
+		e.cache = solver.NewCache(o.SolveCacheCap)
+	}
+	if o.RecordRuns {
+		e.rec = newRunRecorder(prog.NumSites)
+	}
+	if o.Workers > 1 {
+		e.shared = newSharedSearch(o.MaxRuns)
+		if e.timeline != nil {
+			e.shared.cov = coverage.New(prog.NumSites)
+		}
+	}
+	return e
+}
+
+// newReport is the empty report of a search or worker: every
+// completeness flag raised, nothing covered.
+func newReport(prog *ir.Prog, workers int) *Report {
+	return &Report{
+		AllLinear:       true,
+		AllLocsDefinite: true,
+		SolverComplete:  true,
+		Workers:         workers,
+		Coverage:        coverage.New(prog.NumSites),
+	}
+}
+
+// finish closes a sequential search, directed or random: the stop
+// reason defaults to the spent run budget, the explainer is closed, and
+// the run log, elapsed time, metrics and profile are frozen onto the
+// report.
+func (e *engine) finish(start time.Time) *Report {
 	if e.report.Stopped == "" {
 		e.report.Stopped = StopMaxRuns
 	}
-	e.finishExplain()
+	if e.timeline != nil {
+		snap := e.exp.Snapshot()
+		if snap == nil {
+			// The random baseline attempts no flips: its cause ledger is
+			// empty, so reached-but-dark directions honestly resolve to
+			// "not-attempted".
+			snap = &obs.ExplainSnapshot{Workers: 1}
+		}
+		e.finishExplain(e.report, snap)
+	}
 	e.report.RunLog = e.rec.log()
 	e.report.Elapsed = time.Since(start)
 	e.report.Metrics = e.metrics.Snapshot()
 	e.report.Profile = e.prof.Snapshot()
-	return e.report, nil
+	return e.report
 }
 
-// finishExplain closes a sequential search's explainer: the ledger is
-// frozen, the timeline stamped onto it, and the resolved reason buckets
-// emitted as UncoveredReason events and mirrored into the metrics
-// registry — before the registry is snapshotted, so live event-derived
-// counters equal the report's.
-func (e *engine) finishExplain() {
-	if e.exp == nil {
-		return
-	}
-	snap := e.exp.Snapshot()
+// finishExplain closes a search's explainer over r — the engine's own
+// report, or a parallel search's merged one: the timeline is stamped
+// onto the frozen ledger snap, and the resolved reason buckets are
+// emitted as UncoveredReason events and mirrored into the engine's
+// metrics registry — before the registry is snapshotted, so live
+// event-derived counters equal the report's.
+func (e *engine) finishExplain(r *Report, snap *obs.ExplainSnapshot) {
 	e.timeline.Stamp(snap)
-	e.report.Explain = snap
-	rep := ResolveExplain(e.prog, snap, e.report.Coverage)
+	r.Explain = snap
+	rep := ResolveExplain(e.prog, snap, r.Coverage)
 	for _, reason := range obs.ReasonPrecedence {
 		n := rep.Buckets[reason]
 		if n == 0 {
@@ -670,7 +730,7 @@ func (e *engine) finishExplain() {
 		}
 		e.metrics.Add(obs.UncoveredPrefix+reason, int64(n))
 		if e.obs != nil {
-			e.emit(obs.Event{Kind: obs.UncoveredReason, Run: e.report.Runs, Reason: reason, Count: n})
+			e.emit(obs.Event{Kind: obs.UncoveredReason, Run: r.Runs, Reason: reason, Count: n})
 		}
 	}
 }
@@ -695,134 +755,38 @@ func ResolveExplain(prog *ir.Prog, snap *obs.ExplainSnapshot, cov *coverage.Set)
 	})
 }
 
-// search is run_DART (Fig. 2).
+// search is run_DART (Fig. 2) with the Fig. 4-5 stack as its branch
+// choice.
 func (e *engine) search() {
 	for e.report.Runs < e.opts.MaxRuns {
-		// Outer repeat: fresh random input vector, empty stack.
-		e.stack = nil
-		e.im.Reset()
-		e.lastFlip.ok = false
-		if e.report.Runs > 0 {
-			e.report.Restarts++
-			e.metrics.Add(obs.CRestarts, 1)
-			if e.obs != nil {
-				e.emit(obs.Event{Kind: obs.Restart, Run: e.report.Runs})
-			}
-		}
-
+		e.restart()
 		directed, restart := true, false
 		for directed && !restart && e.report.Runs < e.opts.MaxRuns {
 			if reason, stop := e.tripped(); stop {
 				e.report.Stopped = reason
 				return
 			}
-			if e.obs != nil {
-				e.emit(obs.Event{Kind: obs.RunStart, Run: e.report.Runs + 1})
-			}
-			m, rerr, fault := e.runIsolated()
-			if fault != nil {
-				if !e.noteFault(fault) {
-					return // persistent internal failure; Stopped is set
-				}
-				// The faulting subtree cannot be searched; restart with
-				// fresh randoms and keep going.
+			m, rerr, cont := e.execute()
+			switch {
+			case !cont:
+				return // Stopped is set
+			case m == nil || e.mispredict:
+				// A faulting run's subtree cannot be searched, and a
+				// misprediction (Fig. 4 raised: forcing_ok was cleared)
+				// abandons the forced flip: restart the outer loop with
+				// fresh random inputs.
 				restart = true
-				continue
-			}
-			e.report.Runs++
-			e.report.Steps += m.Steps()
-			e.metrics.Add(obs.CRuns, 1)
-			e.metrics.Observe(obs.HStepsPerRun, m.Steps())
-			if !m.AllLinear() {
-				e.report.AllLinear = false
-				e.metrics.Add(obs.CFallbackLinear, 1)
-			}
-			if !m.AllLocsDefinite() {
-				e.report.AllLocsDefinite = false
-				e.metrics.Add(obs.CFallbackLocs, 1)
-			}
-			newly := 0
-			for _, rec := range m.Branches {
-				if rec.Site >= 0 {
-					if e.report.Coverage.Record(rec.Site, rec.Taken) {
-						newly++
-					}
-					if e.exp != nil && !rec.HasPred {
-						// The unexecuted direction of a predicate-less
-						// conditional can never be forced: ledger why.
-						e.exp.RecordFallback(rec.Site, rec.Pos.String(), !rec.Taken, rec.Fallback)
-					}
-				}
-			}
-			e.rec.observe(e.namedIM, m.Branches)
-			e.tickTimeline(newly)
-			if e.obs != nil {
-				e.emit(obs.Event{Kind: obs.RunEnd, Run: e.report.Runs, Steps: m.Steps(),
-					Outcome: runOutcome(rerr), Path: pathString(m.Branches)})
-			}
-
-			if e.mispredict {
-				// Fig. 4 raised: forcing_ok was cleared.  Restart the
-				// outer loop with fresh random inputs.
-				e.report.Mispredicts++
-				e.metrics.Add(obs.CMispredicts, 1)
-				if e.exp != nil && e.lastFlip.ok && e.lastFlip.site >= 0 {
-					// The diverged run was forcing lastFlip's direction;
-					// that flip is now abandoned unexplored.
-					e.exp.RecordMispredict(e.lastFlip.site, e.lastFlip.pos, e.lastFlip.taken)
-				}
-				if e.obs != nil {
-					e.emit(obs.Event{Kind: obs.Misprediction, Run: e.report.Runs, Depth: e.k - 1})
-				}
-				e.forcingOK = true
+			case rerr != nil && rerr.Outcome == machine.StepLimit && !e.opts.ReportStepLimit:
+				// A non-terminating path cannot be extended reliably;
+				// restart from fresh randoms.
 				restart = true
-				continue
+			default:
+				// Fig. 5: pick the next branch to force and solve for inputs.
+				directed = e.solveNext(m.Branches)
 			}
-
-			if rerr != nil && rerr.Outcome == machine.Interrupted {
-				// Deadline or cancellation tripped mid-run: end the
-				// search with what was gathered so far.
-				e.report.Stopped = e.interruptReason()
-				return
-			}
-
-			if rerr != nil && rerr.Outcome != machine.HaltOK {
-				isBug := rerr.Outcome == machine.Aborted || rerr.Outcome == machine.Crashed ||
-					(rerr.Outcome == machine.StepLimit && e.opts.ReportStepLimit)
-				if isBug {
-					if e.claimBug(bugSig(rerr)) {
-						e.report.Bugs = append(e.report.Bugs, Bug{
-							Kind:   rerr.Outcome,
-							Msg:    rerr.Msg,
-							Pos:    rerr.Pos,
-							Run:    e.report.Runs,
-							Inputs: e.namedIM(),
-						})
-						e.metrics.Add(obs.CBugs, 1)
-						e.emit(obs.Event{Kind: obs.BugFound, Run: e.report.Runs,
-							Outcome: rerr.Outcome.String(), Msg: rerr.Msg, Pos: rerr.Pos.String()})
-					}
-					if e.opts.StopAtFirstBug {
-						e.report.Stopped = StopFirstBug
-						return
-					}
-				}
-				if rerr.Outcome == machine.StepLimit && !e.opts.ReportStepLimit {
-					// A non-terminating path cannot be extended reliably;
-					// restart from fresh randoms.
-					restart = true
-					continue
-				}
-			}
-
-			// Fig. 5: pick the next branch to force and solve for inputs.
-			directed = e.solveNext(m.Branches)
 		}
 
-		if restart {
-			continue
-		}
-		if !directed {
+		if !restart && !directed && reportComplete(e.report) {
 			// Directed search exhausted the tree.  With all flags intact
 			// and no abnormal run cutting a path short, this is Theorem
 			// 1(b): every feasible path was exercised.  A crashed or
@@ -830,17 +794,152 @@ func (e *engine) search() {
 			// so completeness cannot be claimed once a bug was found —
 			// nor once a solve was abandoned on budget exhaustion or an
 			// internal fault interrupted a run (see DESIGN.md,
-			// "Supervision and graceful degradation").
-			if e.searchComplete() {
-				e.report.Complete = true
-				e.report.Stopped = StopExhausted
-				return
-			}
-			// Otherwise the paper's outer loop continues forever with
-			// fresh randoms; MaxRuns bounds us.
-			continue
+			// "Supervision and graceful degradation").  Otherwise the
+			// paper's outer loop continues forever with fresh randoms;
+			// MaxRuns bounds us.
+			e.report.Complete = true
+			e.report.Stopped = StopExhausted
+			return
 		}
 	}
+}
+
+// restart is the outer repeat of Fig. 2: a fresh random input vector
+// and an empty stack, counted as a restart once the search has run.
+func (e *engine) restart() {
+	e.stack = nil
+	e.im.Reset()
+	e.lastFlip.ok = false
+	if e.report.Runs > 0 {
+		e.report.Restarts++
+		e.metrics.Add(obs.CRestarts, 1)
+		if e.obs != nil {
+			e.emit(obs.Event{Kind: obs.Restart, Run: e.report.Runs})
+		}
+	}
+}
+
+// execute performs one run of the search and accounts it: the RunStart
+// event, the isolated run, then recordRun — or noteFault when the run
+// faulted, in which case m is nil.  cont is false when the search must
+// stop (Stopped is then set).
+func (e *engine) execute() (m *machine.Machine, rerr *machine.RunError, cont bool) {
+	if e.obs != nil {
+		e.emit(obs.Event{Kind: obs.RunStart, Run: e.report.Runs + 1})
+	}
+	m, rerr, fault := e.runIsolated()
+	if fault != nil {
+		return nil, nil, e.noteFault(fault)
+	}
+	return m, rerr, e.recordRun(m, rerr)
+}
+
+// recordRun accounts one finished run into the engine's report — every
+// mode's runs, directed or random, pass through here — and returns
+// false when the search must stop (Stopped is then set).
+func (e *engine) recordRun(m *machine.Machine, rerr *machine.RunError) bool {
+	e.report.Runs++
+	e.report.Steps += m.Steps()
+	e.metrics.Add(obs.CRuns, 1)
+	e.metrics.Observe(obs.HStepsPerRun, m.Steps())
+	if !m.AllLinear() {
+		e.report.AllLinear = false
+		e.metrics.Add(obs.CFallbackLinear, 1)
+	}
+	if !m.AllLocsDefinite() {
+		e.report.AllLocsDefinite = false
+		e.metrics.Add(obs.CFallbackLocs, 1)
+	}
+	newly := 0
+	for _, rec := range m.Branches {
+		if rec.Site >= 0 {
+			if e.report.Coverage.Record(rec.Site, rec.Taken) {
+				newly++
+			}
+			if e.exp != nil && !rec.HasPred {
+				// The unexecuted direction of a predicate-less
+				// conditional can never be forced: ledger why.
+				e.exp.RecordFallback(rec.Site, rec.Pos.String(), !rec.Taken, rec.Fallback)
+			}
+		}
+	}
+	if e.shared != nil && e.timeline != nil {
+		// Parallel: the per-worker set overcounts directions another
+		// worker covered first; the shared view dedups search-wide.
+		newly = e.shared.recordCov(m.Branches)
+	}
+	e.rec.observe(e.namedIM, m.Branches)
+	e.tickTimeline(newly)
+	if e.obs != nil {
+		e.emit(obs.Event{Kind: obs.RunEnd, Run: e.report.Runs, Steps: m.Steps(),
+			Outcome: runOutcome(rerr), Path: pathString(m.Branches)})
+	}
+	if e.mispredict {
+		// The run diverged from the forced flip, which is now abandoned
+		// unexplored.
+		e.report.Mispredicts++
+		e.metrics.Add(obs.CMispredicts, 1)
+		if e.exp != nil && e.lastFlip.ok && e.lastFlip.site >= 0 {
+			e.exp.RecordMispredict(e.lastFlip.site, e.lastFlip.pos, e.lastFlip.taken)
+		}
+		if e.obs != nil {
+			e.emit(obs.Event{Kind: obs.Misprediction, Run: e.report.Runs, Depth: e.k - 1})
+		}
+		return true
+	}
+	if rerr == nil || rerr.Outcome == machine.HaltOK {
+		return true
+	}
+	if rerr.Outcome == machine.Interrupted {
+		// Deadline or cancellation tripped mid-run: end the search with
+		// what was gathered so far.
+		e.report.Stopped = e.interruptReason()
+		return false
+	}
+	isBug := rerr.Outcome == machine.Aborted || rerr.Outcome == machine.Crashed ||
+		(rerr.Outcome == machine.StepLimit && e.opts.ReportStepLimit)
+	if !isBug {
+		return true
+	}
+	if e.claimBug(bugSig(rerr)) {
+		e.report.Bugs = append(e.report.Bugs, Bug{
+			Kind:   rerr.Outcome,
+			Msg:    rerr.Msg,
+			Pos:    rerr.Pos,
+			Run:    e.report.Runs,
+			Inputs: e.namedIM(),
+		})
+		e.metrics.Add(obs.CBugs, 1)
+		e.emit(obs.Event{Kind: obs.BugFound, Run: e.report.Runs,
+			Outcome: rerr.Outcome.String(), Msg: rerr.Msg, Pos: rerr.Pos.String()})
+	}
+	if e.opts.StopAtFirstBug {
+		e.report.Stopped = StopFirstBug
+		return false
+	}
+	return true
+}
+
+// claimBug reports whether this engine is the first in the search to
+// see the bug signature, recording the claim.  Sequential engines claim
+// from their private map; parallel workers claim through the shared
+// coordinator, so each distinct bug enters exactly one worker's report
+// (and emits exactly one BugFound event) across the whole search —
+// keeping live event-derived counters equal to the merged report.
+func (e *engine) claimBug(sig string) bool {
+	if e.shared != nil {
+		return e.shared.claimBug(sig)
+	}
+	if e.seenBugs[sig] {
+		return false
+	}
+	if e.seenBugs == nil {
+		// Lazily allocated: bug-free searches (the common case for the
+		// audit's ok-functions) never pay for the dedup map.
+		e.seenBugs = make(map[string]bool, 1)
+	}
+	e.seenBugs[sig] = true
+	return true
 }
 
 // bugSig is the dedup identity of a program error: outcome, message, and
@@ -855,20 +954,15 @@ func bugSig(rerr *machine.RunError) string {
 // portable input keys: the form bug reports, run logs and fault
 // diagnostics carry out of the search.
 func (e *engine) namedIM() map[string]int64 {
+	if e.random != nil {
+		return maps.Clone(e.random.im)
+	}
 	vars := e.regs.snapshot()
 	out := make(map[string]int64, e.im.Len())
 	for v := range e.im.Len() {
 		if x, ok := e.im.Get(symbolic.Var(v)); ok {
 			out[vars[v].key] = x
 		}
-	}
-	return out
-}
-
-func copyIM(im map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(im))
-	for k, v := range im {
-		out[k] = v
 	}
 	return out
 }

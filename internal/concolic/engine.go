@@ -22,41 +22,41 @@ import (
 func (e *engine) oneRun() (*machine.Machine, *machine.RunError, error) {
 	e.k = 0
 	e.mispredict = false
-	e.forcingOK = true
+	var in machine.InputSource = e
+	if e.random != nil {
+		in = e.random
+	}
 
 	// The machine is pooled: built once per engine, Reset between runs
 	// so the search's N runs reuse one allocation footprint (memory
 	// arrays, branch records, scratch stacks).
-	var m *machine.Machine
-	if e.mach == nil {
+	m := e.mach
+	if m == nil {
+		cfg := machine.Config{
+			Prog:     e.prog,
+			Inputs:   in,
+			LibImpls: e.opts.LibImpls,
+			MaxSteps: e.opts.MaxSteps,
+			Deadline: e.deadline,
+			Cancel:   e.opts.Cancel,
+			Observer: e.machineSink(),
+			Code:     e.code,
+		}
+		if e.random == nil {
+			// Only the directed search follows conditionals (Fig. 4) and
+			// searches pointer input shapes.
+			cfg.OnBranch = e.onBranch
+			cfg.ShapeSearch = !e.opts.DisableShapeSearch
+		}
 		var err error
-		m, err = machine.New(machine.Config{
-			Prog:        e.prog,
-			Inputs:      e,
-			OnBranch:    e.onBranch,
-			LibImpls:    e.opts.LibImpls,
-			MaxSteps:    e.opts.MaxSteps,
-			ShapeSearch: !e.opts.DisableShapeSearch,
-			Deadline:    e.deadline,
-			Cancel:      e.opts.Cancel,
-			Observer:    e.machineSink(),
-			Code:        e.code,
-		})
-		if err != nil {
+		if m, err = machine.New(cfg); err != nil {
 			return nil, nil, fmt.Errorf("machine construction: %w", err)
 		}
 		e.mach = m
-	} else {
-		m = e.mach
-		if err := m.Reset(e); err != nil {
-			return nil, nil, fmt.Errorf("machine reset: %w", err)
-		}
+	} else if err := m.Reset(in); err != nil {
+		return nil, nil, fmt.Errorf("machine reset: %w", err)
 	}
 
-	if e.fn == nil {
-		e.fn, _ = e.prog.Lookup(e.opts.Toplevel)
-		e.argbuf = make([]machine.Value, len(e.fn.Params))
-	}
 	for d := 0; d < e.opts.Depth; d++ {
 		if err := m.InitArgs(e.fn, d, e.argbuf); err != nil {
 			return m, &machine.RunError{Outcome: machine.Crashed, Msg: err.Error()}, nil
@@ -74,9 +74,8 @@ func (e *engine) onBranch(rec machine.BranchRec) error {
 	e.k++
 	if k < len(e.stack) {
 		if e.stack[k].branch != rec.Taken {
-			// The prediction was not fulfilled: clear forcing_ok and
-			// raise, restarting with fresh random inputs.
-			e.forcingOK = false
+			// The prediction was not fulfilled: clear forcing_ok
+			// (mispredict) and raise, restarting with fresh random inputs.
 			e.mispredict = true
 			return errMispredicted
 		}
@@ -140,69 +139,75 @@ func (e *engine) solveNext(branches []machine.BranchRec) bool {
 		pc = append(pc, branches[j].Pred.Negate())
 		e.pcbuf = pc[:0]
 
-		e.report.SolverCalls++
-		e.metrics.Observe(obs.HPCLen, int64(len(pc)))
-		e.metrics.Observe(obs.HFrontierDepth, int64(j))
-		// Site/pos attribution for the profiler, the explainer, and the
-		// event stream: events carry the 1-based site index
-		// (deterministic), while the source position string is computed
-		// only when a collector asks.
-		site := branches[j].Site
-		var posStr string
+		f := flipRef{ok: true, site: branches[j].Site, taken: !branches[j].Taken}
 		if e.prof != nil || e.exp != nil {
-			posStr = branches[j].Pos.String()
+			f.pos = branches[j].Pos.String()
 		}
-		var target string
+		var path string
 		if e.obs != nil {
-			target = flipPath(branches, j)
-			e.emit(obs.Event{Kind: obs.SolverCall, Run: e.report.Runs, Depth: j, PCLen: len(pc), Path: target, Site: site + 1})
+			path = flipPath(branches, j)
 		}
-		sol, verdict, work := e.solveIsolated(pc, j)
-		if e.obs != nil {
-			ev := e.verdictEvent(j, verdict, work)
-			ev.Site = site + 1
-			e.emit(ev)
+		if e.tryFlip(pc, j, f, path) {
+			// Truncate the stack to [0..j] and predict the flipped branch.
+			e.stack = e.stack[:j+1]
+			e.stack[j].branch = f.taken
+			return true
 		}
-		e.prof.RecordSolve(site, posStr, verdict.String(), work, e.lastSolve.solveNS, e.lastSolve.cache)
-		if site >= 0 {
-			// The flip targets the unexecuted direction of branches[j];
-			// ledger the attempt (and, on unsat, the infeasibility proof).
-			e.exp.RecordSolve(site, posStr, !branches[j].Taken, verdict.String(), e.lastSolve.unsatSlice)
-		}
-		if verdict != solver.Sat {
-			// Infeasible, beyond the solver, or out of budget: this
-			// branch cannot be flipped under its fixed prefix; mark it
-			// done and keep looking, which is Fig. 5's recursive call
-			// with a smaller ktry.  A budget exhaustion additionally
-			// clears SolverComplete — the branch may have been feasible,
-			// so the search degrades toward random testing instead of
-			// grinding on an adversarial constraint system.
-			if verdict == solver.BudgetExhausted {
-				e.report.SolverComplete = false
-			}
-			e.report.SolverFailures++
-			e.stack[j].done = true
-			continue
-		}
-
-		// Truncate the stack to [0..j] and predict the flipped branch.
-		e.metrics.Add(obs.CBranchFlips, 1)
-		e.prof.RecordFlip(site, posStr)
-		if e.obs != nil {
-			e.emit(obs.Event{Kind: obs.BranchFlip, Run: e.report.Runs, Depth: j, Path: target, Site: site + 1})
-		}
-		e.stack = e.stack[:j+1]
-		e.stack[j].branch = !branches[j].Taken
-		// Remember the forced target: if the next run diverges from the
-		// prediction, the explainer attributes the misprediction here.
-		e.lastFlip = flipRef{ok: true, site: site, pos: posStr, taken: !branches[j].Taken}
-
-		// IM + IM': inputs not involved keep their previous values.
-		for v, val := range sol {
-			e.im.Set(v, val)
-		}
-		return true
+		// This branch cannot be flipped under its fixed prefix: mark it
+		// done and keep looking, which is Fig. 5's recursive call with a
+		// smaller ktry.
+		e.stack[j].done = true
 	}
+}
+
+// tryFlip is one flip attempt, shared by the classic stack and the
+// frontier: solve pc — a path-constraint prefix ending in the negated
+// predicate of the conditional at depth — for the direction f (path is
+// its target bit string, rendered only under an observer).  On Sat the
+// model is installed into IM (IM + IM': inputs not involved keep their
+// previous values) and f is remembered for misprediction attribution.
+// Any other verdict abandons the flip: infeasible, beyond the solver,
+// or out of budget — a budget exhaustion additionally clears
+// SolverComplete, since the branch may have been feasible, so the
+// search degrades toward random testing instead of grinding on an
+// adversarial constraint system.
+func (e *engine) tryFlip(pc []symbolic.Pred, depth int, f flipRef, path string) bool {
+	e.report.SolverCalls++
+	e.metrics.Observe(obs.HPCLen, int64(len(pc)))
+	e.metrics.Observe(obs.HFrontierDepth, int64(depth))
+	// Events carry the 1-based site index (deterministic); the source
+	// position string is computed only when a collector asks.
+	if e.obs != nil {
+		e.emit(obs.Event{Kind: obs.SolverCall, Run: e.report.Runs, Depth: depth, PCLen: len(pc), Path: path, Site: f.site + 1})
+	}
+	sol, verdict, work := e.solveIsolated(pc, depth)
+	if e.obs != nil {
+		ev := e.verdictEvent(depth, verdict, work)
+		ev.Site = f.site + 1
+		e.emit(ev)
+	}
+	e.prof.RecordSolve(f.site, f.pos, verdict.String(), work, e.lastSolve.solveNS, e.lastSolve.cache)
+	if f.site >= 0 {
+		// Ledger the attempt (and, on unsat, the infeasibility proof).
+		e.exp.RecordSolve(f.site, f.pos, f.taken, verdict.String(), e.lastSolve.unsatSlice)
+	}
+	if verdict != solver.Sat {
+		if verdict == solver.BudgetExhausted {
+			e.report.SolverComplete = false
+		}
+		e.report.SolverFailures++
+		return false
+	}
+	e.metrics.Add(obs.CBranchFlips, 1)
+	e.prof.RecordFlip(f.site, f.pos)
+	if e.obs != nil {
+		e.emit(obs.Event{Kind: obs.BranchFlip, Run: e.report.Runs, Depth: depth, Path: path, Site: f.site + 1})
+	}
+	e.lastFlip = f
+	for v, val := range sol {
+		e.im.Set(v, val)
+	}
+	return true
 }
 
 // pickBranch selects the next not-done branch index below ktry according

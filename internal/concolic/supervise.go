@@ -203,36 +203,13 @@ func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.
 		e.lastSolve.sliced = pruned
 	}
 
+	// Three answers — an in-memory hit, a disk hit, a fresh solve — each
+	// yield (sol, verdict, work) for the one shared tail below.
 	var key string
 	useCache := e.cache != nil && e.report.SolverCalls > solveCacheWarmup
+	answered := false
 	if useCache {
-		if e.prof != nil {
-			t0 = time.Now()
-		}
-		key = solver.CacheKey(slice, hint)
-		hit, ok := e.cache.Get(key)
-		if e.prof != nil {
-			e.prof.Span(obs.SpanCacheLookup, time.Since(t0))
-		}
-		if ok {
-			e.report.SolveCacheHits++
-			e.metrics.Add(obs.CSolveCacheHits, 1)
-			e.lastSolve.cache = "hit"
-			sol, verdict = hit.Model, hit.Verdict
-			if verdict == solver.Unsat && e.exp != nil {
-				e.lastSolve.unsatSlice = symbolic.PathConstraint(slice).StringNamed(e.varName)
-			}
-			if verdict == solver.Sat && pruned > 0 && !e.verifyTimed(pc, sol, hint) {
-				sol, verdict = nil, solver.Unsat
-				e.report.SolverComplete = false
-			}
-			if e.obs != nil {
-				e.emit(obs.Event{Kind: obs.SolveCacheHit, Run: e.report.Runs,
-					Depth: depth, PCLen: len(slice), Verdict: verdict.String()})
-			}
-			e.countVerdict(verdict)
-			return sol, verdict, 0
-		}
+		key, sol, verdict, answered = e.memHit(slice, hint)
 	}
 	// The in-memory LRU came up cold (warmup era, disabled, or a genuine
 	// miss): consult the persistent disk layer before paying for a fresh
@@ -240,83 +217,50 @@ func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.
 	// hint, budget — under stable input names, so a hit returns precisely
 	// what the fresh solve would, across searches and across processes.
 	var pkey string
-	if e.persist != nil {
-		if e.prof != nil {
-			t0 = time.Now()
-		}
-		pkey = solver.PortableKey(slice, hint, e.opts.SolverBudget, e.varName, e.meta)
-		pr, ok := e.persist.GetPortable(pkey)
-		var psol map[symbolic.Var]int64
-		if ok {
-			psol, ok = e.portableModel(pr.Model)
-		}
-		if e.prof != nil {
-			e.prof.Span(obs.SpanCacheLookup, time.Since(t0))
-		}
-		if ok {
-			e.report.SolveCacheDiskHits++
-			e.metrics.Add(obs.CSolveCacheDisk, 1)
-			e.lastSolve.cache = "disk"
-			sol, verdict = psol, pr.Verdict
-			if verdict == solver.Unsat && e.exp != nil {
-				e.lastSolve.unsatSlice = symbolic.PathConstraint(slice).StringNamed(e.varName)
-			}
-			if useCache {
-				// Promote the slice-level entry into the in-memory LRU so
-				// repeats within this search stay off the disk path.
-				if e.cache.Put(key, verdict, sol) {
-					e.report.SolveCacheEvictions++
-					e.metrics.Add(obs.CSolveCacheEvicts, 1)
-					e.lastSolve.evicted = true
-				}
-			}
-			if verdict == solver.Sat && pruned > 0 && !e.verifyTimed(pc, sol, hint) {
-				sol, verdict = nil, solver.Unsat
-				e.report.SolverComplete = false
-			}
-			e.countVerdict(verdict)
-			return sol, verdict, 0
+	if !answered && e.persist != nil {
+		if pkey, sol, verdict, answered = e.diskHit(slice, hint); answered && useCache {
+			// Promote the slice-level entry into the in-memory LRU so
+			// repeats within this search stay off the disk path.
+			e.memoize(key, verdict, sol)
 		}
 	}
-	if e.cache != nil {
-		// Both memo layers missed (during warmup a hit was impossible —
-		// that still counts: the accounting answers "how often did the
-		// fast path spare a solver call", and here it did not).
-		e.report.SolveCacheMisses++
-		e.metrics.Add(obs.CSolveCacheMisses, 1)
-		e.lastSolve.cache = "miss"
+	var start time.Time
+	if !answered {
+		if e.cache != nil {
+			// Both memo layers missed (during warmup a hit was impossible —
+			// that still counts: the accounting answers "how often did the
+			// fast path spare a solver call", and here it did not).
+			e.report.SolveCacheMisses++
+			e.metrics.Add(obs.CSolveCacheMisses, 1)
+			e.lastSolve.cache = "miss"
+		}
+		if e.metrics != nil || e.prof != nil {
+			start = time.Now()
+		}
+		var stats solver.Stats
+		sol, verdict, stats = solver.SolveWorkStats(slice, e.meta, hint, e.opts.SolverBudget)
+		work = stats.Work
+		if e.prof != nil {
+			d := time.Since(start)
+			e.prof.Span(obs.SpanSolve, d)
+			e.lastSolve.solveNS = int64(d)
+		}
+		if useCache {
+			// Memoize the slice-level result (pre-verification: the pruned
+			// predicates of *this* pc play no part in the entry, so the entry
+			// is valid for any future pc producing the same slice and hint).
+			e.memoize(key, verdict, sol)
+		}
+		if e.persist != nil {
+			// Persist the same slice-level result under the portable key
+			// (already rendered by the failed lookup above) so the next
+			// process inherits this solve.
+			e.persist.PutPortable(pkey, verdict, e.namedModel(sol))
+		}
 	}
 
-	var start time.Time
-	if e.metrics != nil || e.prof != nil {
-		start = time.Now()
-	}
-	var stats solver.Stats
-	sol, verdict, stats = solver.SolveWorkStats(slice, e.meta, hint, e.opts.SolverBudget)
-	work = stats.Work
 	if verdict == solver.Unsat && e.exp != nil {
 		e.lastSolve.unsatSlice = symbolic.PathConstraint(slice).StringNamed(e.varName)
-	}
-	if e.prof != nil {
-		d := time.Since(start)
-		e.prof.Span(obs.SpanSolve, d)
-		e.lastSolve.solveNS = int64(d)
-	}
-	if useCache {
-		// Memoize the slice-level result (pre-verification: the pruned
-		// predicates of *this* pc play no part in the entry, so the entry
-		// is valid for any future pc producing the same slice and hint).
-		if e.cache.Put(key, verdict, sol) {
-			e.report.SolveCacheEvictions++
-			e.metrics.Add(obs.CSolveCacheEvicts, 1)
-			e.lastSolve.evicted = true
-		}
-	}
-	if e.persist != nil {
-		// Persist the same slice-level result under the portable key
-		// (already rendered by the failed lookup above) so the next
-		// process inherits this solve.
-		e.persist.PutPortable(pkey, verdict, e.namedModel(sol))
 	}
 	if verdict == solver.Sat && pruned > 0 && !e.verifyTimed(pc, sol, hint) {
 		// The slice's model fails the full conjunction under
@@ -328,12 +272,73 @@ func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.
 		sol, verdict = nil, solver.Unsat
 		e.report.SolverComplete = false
 	}
-	if e.metrics != nil {
+	switch {
+	case e.lastSolve.cache == "hit":
+		if e.obs != nil {
+			e.emit(obs.Event{Kind: obs.SolveCacheHit, Run: e.report.Runs,
+				Depth: depth, PCLen: len(slice), Verdict: verdict.String()})
+		}
+	case !answered && e.metrics != nil:
 		e.metrics.Observe(obs.HSolverLatencyUS, time.Since(start).Microseconds())
 		e.metrics.Observe(obs.HSolverWork, work)
 	}
 	e.countVerdict(verdict)
 	return sol, verdict, work
+}
+
+// memHit looks the (slice, hint) solve up in the in-memory solve cache,
+// counting a hit; key is the rendered cache key.
+func (e *engine) memHit(slice []symbolic.Pred, hint symbolic.Vector) (key string, sol map[symbolic.Var]int64, verdict solver.Verdict, ok bool) {
+	var t0 time.Time
+	if e.prof != nil {
+		t0 = time.Now()
+	}
+	key = solver.CacheKey(slice, hint)
+	hit, ok := e.cache.Get(key)
+	if e.prof != nil {
+		e.prof.Span(obs.SpanCacheLookup, time.Since(t0))
+	}
+	if !ok {
+		return key, nil, 0, false
+	}
+	e.report.SolveCacheHits++
+	e.metrics.Add(obs.CSolveCacheHits, 1)
+	e.lastSolve.cache = "hit"
+	return key, hit.Model, hit.Verdict, true
+}
+
+// diskHit looks the (slice, hint) solve up in the persistent solve
+// cache, counting a hit; pkey is the rendered portable key.
+func (e *engine) diskHit(slice []symbolic.Pred, hint symbolic.Vector) (pkey string, sol map[symbolic.Var]int64, verdict solver.Verdict, ok bool) {
+	var t0 time.Time
+	if e.prof != nil {
+		t0 = time.Now()
+	}
+	pkey = solver.PortableKey(slice, hint, e.opts.SolverBudget, e.varName, e.meta)
+	pr, ok := e.persist.GetPortable(pkey)
+	if ok {
+		sol, ok = e.portableModel(pr.Model)
+	}
+	if e.prof != nil {
+		e.prof.Span(obs.SpanCacheLookup, time.Since(t0))
+	}
+	if !ok {
+		return pkey, nil, 0, false
+	}
+	e.report.SolveCacheDiskHits++
+	e.metrics.Add(obs.CSolveCacheDisk, 1)
+	e.lastSolve.cache = "disk"
+	return pkey, sol, pr.Verdict, true
+}
+
+// memoize stores a slice-level result in the in-memory solve cache,
+// counting an eviction.
+func (e *engine) memoize(key string, verdict solver.Verdict, sol map[symbolic.Var]int64) {
+	if e.cache.Put(key, verdict, sol) {
+		e.report.SolveCacheEvictions++
+		e.metrics.Add(obs.CSolveCacheEvicts, 1)
+		e.lastSolve.evicted = true
+	}
 }
 
 // portableModel translates a persistent-cache model (keyed by stable
@@ -435,17 +440,11 @@ func (e *engine) countVerdict(v solver.Verdict) {
 	}
 }
 
-// searchComplete reports whether an exhausted execution tree proves
+// reportComplete reports whether an exhausted execution tree proves
 // Theorem 1(b).  Beyond the paper's all_linear/all_locs_definite flags,
 // completeness also requires that no bug truncated a path, no solve was
 // abandoned on budget exhaustion, and no internal fault skipped part of
 // the space.
-func (e *engine) searchComplete() bool {
-	return reportComplete(e.report)
-}
-
-// reportComplete is searchComplete over an explicit report — the merged
-// report of a parallel search uses it directly.
 func reportComplete(r *Report) bool {
 	return r.AllLinear && r.AllLocsDefinite &&
 		r.SolverComplete && r.Mispredicts == 0 &&
