@@ -248,21 +248,56 @@ func foldBranches(f *Func) {
 }
 
 // threadJumps redirects jumps whose target is another unconditional
-// jump, and replaces self-fallthrough gotos.
+// jump to the end of the goto chain, and replaces self-fallthrough
+// gotos.  A chain ends at the first instruction that is not a goto, at
+// an out-of-range target, or at the first instruction it revisits: a
+// goto on a cycle threads to itself, and a chain into a cycle stops at
+// the cycle's entry.  Each chain is walked once — a walk stops at any
+// instruction an earlier walk resolved — so the pass is linear in the
+// code size however long the chains.
 func threadJumps(f *Func) {
+	n := len(f.Code)
+	// end[t] is the end of the chain from t; state[t] is 0 before t is
+	// visited, 1 while it is on the current walk, 2 once end[t] is set.
+	end := make([]int, n)
+	state := make([]byte, n)
+	var walk []int
 	final := func(t int) int {
-		seen := map[int]bool{}
 		for {
-			if t < 0 || t >= len(f.Code) || seen[t] {
-				return t
+			if t < 0 || t >= n {
+				break
 			}
-			seen[t] = true
+			if state[t] == 2 {
+				t = end[t]
+				break
+			}
+			if state[t] == 1 {
+				// The walk revisits t: t and every later instruction on
+				// the walk lie on a cycle, and each threads to itself.
+				for len(walk) > 0 {
+					c := walk[len(walk)-1]
+					walk = walk[:len(walk)-1]
+					end[c], state[c] = c, 2
+					if c == t {
+						break
+					}
+				}
+				break
+			}
 			g, ok := f.Code[t].(*Goto)
 			if !ok {
-				return t
+				end[t], state[t] = t, 2
+				break
 			}
+			state[t] = 1
+			walk = append(walk, t)
 			t = g.Target
 		}
+		for _, c := range walk {
+			end[c], state[c] = t, 2
+		}
+		walk = walk[:0]
+		return t
 	}
 	for _, ins := range f.Code {
 		switch ins := ins.(type) {

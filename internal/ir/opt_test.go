@@ -3,6 +3,7 @@ package ir
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func optimized(t *testing.T, src, fn string) *Func {
@@ -195,5 +196,48 @@ int f(int n) {
 				t.Errorf("instruction %d: goto-to-goto survived:\n%s", pc, Disasm(f))
 			}
 		}
+	}
+}
+
+// TestThreadJumpsCycles pins jump threading on goto cycles: a goto on a
+// cycle threads to itself, a chain into a cycle stops at the cycle's
+// entry, and a chain out of range stops at its out-of-range target.
+func TestThreadJumpsCycles(t *testing.T) {
+	f := &Func{Code: []Instr{
+		&Goto{Target: 1},   // 0: chain into the cycle 1 -> 2 -> 1
+		&Goto{Target: 2},   // 1
+		&Goto{Target: 1},   // 2
+		&IfGoto{Target: 0}, // 3: conditional jump into the chain
+		&Goto{Target: 4},   // 4: self-loop
+		&Goto{Target: 6},   // 5: chain out of range
+		&Goto{Target: 9},   // 6
+	}}
+	threadJumps(f)
+	want := []int{1, 2, 1, 1, 4, 9, 9}
+	for i, ins := range f.Code {
+		var got int
+		switch ins := ins.(type) {
+		case *Goto:
+			got = ins.Target
+		case *IfGoto:
+			got = ins.Target
+		}
+		if got != want[i] {
+			t.Errorf("instruction %d targets %d, want %d", i, got, want[i])
+		}
+	}
+}
+
+// TestDeepNestingCompilesFast guards the front end against inputs whose
+// cost grows quadratically: 20,000 nested conditionals build one
+// 20,000-long goto chain per function and a 20,000-deep block nest.
+func TestDeepNestingCompilesFast(t *testing.T) {
+	const depth = 20000
+	src := "int f(int x) {\n" + strings.Repeat("if (x) {", depth) + strings.Repeat("}", depth) + "\nreturn 0;\n}\n"
+	start := time.Now()
+	prog := compile(t, src)
+	Optimize(prog)
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("compiling %d nested conditionals took %v, want under 5s", depth, d)
 	}
 }

@@ -153,8 +153,12 @@ type checker struct {
 	errs     ErrorList
 
 	// Per-function state.
-	fn     *Function
-	scopes []map[string]*Object
+	fn *Function
+	// scopes lists, per open block, the names the block declared; bound
+	// maps each name to its declarations in open blocks, innermost last,
+	// so a lookup costs the same at any nesting depth.
+	scopes [][]string
+	bound  map[string][]binding
 	loops  int
 	// switches tracks switch nesting: break binds to the nearest loop or
 	// switch, continue only to loops.
@@ -448,6 +452,7 @@ func (c *checker) checkBodies(file *ast.File) {
 func (c *checker) checkFunc(fn *Function) {
 	c.fn = fn
 	c.scopes = nil
+	c.bound = map[string][]binding{}
 	c.loops = 0
 	c.switches = 0
 	c.pushScope()
@@ -464,23 +469,38 @@ func (c *checker) checkFunc(fn *Function) {
 	c.fn = nil
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, map[string]*Object{}) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+// binding is one declaration of a name: the object and the depth of
+// the block that declared it.
+type binding struct {
+	obj   *Object
+	depth int
+}
+
+func (c *checker) pushScope() { c.scopes = append(c.scopes, nil) }
+
+func (c *checker) popScope() {
+	top := len(c.scopes) - 1
+	for _, name := range c.scopes[top] {
+		b := c.bound[name]
+		c.bound[name] = b[:len(b)-1]
+	}
+	c.scopes = c.scopes[:top]
+}
 
 func (c *checker) declare(obj *Object, pos token.Pos) {
-	top := c.scopes[len(c.scopes)-1]
-	if _, dup := top[obj.Name]; dup {
+	depth := len(c.scopes)
+	b := c.bound[obj.Name]
+	if len(b) > 0 && b[len(b)-1].depth == depth {
 		c.errorf(pos, "%s redeclared in this block", obj.Name)
 		return
 	}
-	top[obj.Name] = obj
+	c.bound[obj.Name] = append(b, binding{obj, depth})
+	c.scopes[depth-1] = append(c.scopes[depth-1], obj.Name)
 }
 
 func (c *checker) lookup(name string) *Object {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if obj, ok := c.scopes[i][name]; ok {
-			return obj
-		}
+	if b := c.bound[name]; len(b) > 0 {
+		return b[len(b)-1].obj
 	}
 	return c.prog.GlobalsByName[name]
 }

@@ -388,3 +388,22 @@ func TestHTTPMalformedStructIs400(t *testing.T) {
 		t.Fatalf("service did not stay up: POST /jobs after the bad submission: %d\n%s", resp.StatusCode, body)
 	}
 }
+
+// TestHTTPDeepNestingAnsweredPromptly submits 20,000 nested
+// conditionals: Submit compiles on the request path, so a front end
+// that is quadratic in nesting depth would stall the request.  The job
+// itself runs one random-testing run, which costs one pass over the
+// conditionals.
+func TestHTTPDeepNestingAnsweredPromptly(t *testing.T) {
+	_, ts := newHTTPService(t, Config{})
+	const depth = 20000
+	src := "int f(int x) {\n" + strings.Repeat("if (x) {", depth) + strings.Repeat("}", depth) + "\nreturn 0;\n}\n"
+	start := time.Now()
+	resp, body := post(t, ts.URL+"/jobs?runs=1&random=true", src)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("deep nesting: %d, want 202\n%s", resp.StatusCode, body)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("POST /jobs took %v, want under 5s", d)
+	}
+}
