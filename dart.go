@@ -33,20 +33,19 @@
 package dart
 
 import (
-	"fmt"
 	"io"
 
 	"dart/internal/audit"
 	"dart/internal/concolic"
 	"dart/internal/corpus"
 	"dart/internal/coverage"
+	"dart/internal/frontend"
 	"dart/internal/iface"
 	"dart/internal/ir"
 	"dart/internal/machine"
 	"dart/internal/minisip"
 	"dart/internal/obs"
 	"dart/internal/ops"
-	"dart/internal/parser"
 	"dart/internal/sema"
 	"dart/internal/serve"
 	"dart/internal/solver"
@@ -137,24 +136,9 @@ func Compile(src string) (*Program, error) {
 
 // CompileWith is Compile with explicit configuration.
 func CompileWith(src string, cfg CompileConfig) (*Program, error) {
-	file, err := parser.Parse(src)
+	prog, sem, err := frontend.Compile(src, cfg.Lib, !cfg.DisableOptimizer)
 	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	lib := cfg.Lib
-	if lib == nil {
-		lib = machine.StdLibSigs()
-	}
-	sem, err := sema.Check(file, lib)
-	if err != nil {
-		return nil, fmt.Errorf("check: %w", err)
-	}
-	prog, err := ir.Compile(sem)
-	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
-	}
-	if !cfg.DisableOptimizer {
-		ir.Optimize(prog)
+		return nil, err
 	}
 	return &Program{IR: prog, Sem: sem}, nil
 }

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"dart/internal/audit"
+	"dart/internal/frontend"
 	"dart/internal/iface"
 	"dart/internal/ir"
 	"dart/internal/machine"
-	"dart/internal/parser"
 	"dart/internal/sema"
 )
 
@@ -20,17 +20,9 @@ func SourceText() string { return Source + transactionSource }
 
 // Compile builds the miniSIP library.
 func Compile() (*ir.Prog, *sema.Program, error) {
-	file, err := parser.Parse(Source + transactionSource)
+	prog, sem, err := frontend.Compile(SourceText(), nil, false)
 	if err != nil {
-		return nil, nil, fmt.Errorf("minisip parse: %w", err)
-	}
-	sem, err := sema.Check(file, machine.StdLibSigs())
-	if err != nil {
-		return nil, nil, fmt.Errorf("minisip check: %w", err)
-	}
-	prog, err := ir.Compile(sem)
-	if err != nil {
-		return nil, nil, fmt.Errorf("minisip compile: %w", err)
+		return nil, nil, fmt.Errorf("minisip %w", err)
 	}
 	return prog, sem, nil
 }

@@ -42,11 +42,10 @@ import (
 	"dart/internal/audit"
 	"dart/internal/concolic"
 	"dart/internal/corpus"
+	"dart/internal/frontend"
 	"dart/internal/iface"
 	"dart/internal/ir"
-	"dart/internal/machine"
 	"dart/internal/obs"
-	"dart/internal/parser"
 	"dart/internal/sema"
 )
 
@@ -400,7 +399,7 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 	}
 	sub.Source = src
 
-	prog, sem, err := compile(src)
+	prog, sem, err := frontend.Compile(src, nil, true)
 	if err != nil {
 		s.reject("bad-request")
 		return nil, &BadSubmissionError{Reason: err.Error()}
@@ -818,24 +817,4 @@ func (j *Job) Explain() *obs.ExplainReport {
 // deterministic, so caching it would break the byte-identity guarantee.
 func cacheable(rep *JobReport) bool {
 	return rep.StopReason == "" && rep.TimedOut == 0 && rep.Cancelled == 0 && rep.Faulted == 0
-}
-
-// compile mirrors dart.Compile for the service (the root package sits
-// above this one): parse, type-check against the standard library
-// signatures, lower, optimize.
-func compile(src string) (*ir.Prog, *sema.Program, error) {
-	file, err := parser.Parse(src)
-	if err != nil {
-		return nil, nil, fmt.Errorf("parse: %w", err)
-	}
-	sem, err := sema.Check(file, machine.StdLibSigs())
-	if err != nil {
-		return nil, nil, fmt.Errorf("check: %w", err)
-	}
-	prog, err := ir.Compile(sem)
-	if err != nil {
-		return nil, nil, fmt.Errorf("compile: %w", err)
-	}
-	ir.Optimize(prog)
-	return prog, sem, nil
 }
