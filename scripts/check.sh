@@ -6,6 +6,8 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Formatting gate: every tracked Go file is gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 # Trace-golden gate: the fixed-seed E1 trace must stay byte-identical
 # (regenerate deliberately with `go test -run TestTraceGolden -update .`).
 go test -run 'TestTraceGolden' .
