@@ -451,7 +451,7 @@ type engine struct {
 	// ufbuf and verifybuf are scratch for the solver's independence
 	// slicing and full-conjunction verification (cleared on each use,
 	// nothing retained across calls).
-	ufbuf     map[symbolic.Var]symbolic.Var
+	ufbuf     []symbolic.Var
 	verifybuf map[symbolic.Var]int64
 
 	// Per-run state.
@@ -783,6 +783,9 @@ func (e *engine) search() {
 			default:
 				// Fig. 5: pick the next branch to force and solve for inputs.
 				directed = e.solveNext(m.Branches)
+				if e.report.Stopped != "" {
+					return // the flip loop was cut short; never Complete
+				}
 			}
 		}
 

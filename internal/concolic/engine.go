@@ -112,7 +112,8 @@ func (e *engine) decisionDepth(rec machine.BranchRec) int {
 
 // solveNext is solve_path_constraint (Fig. 5): choose an unexplored
 // branch, negate its predicate, and solve the path-constraint prefix.
-// It returns false when the directed search is over.
+// It returns false when the directed search is over, or when the
+// search must stop (Stopped is then set).
 func (e *engine) solveNext(branches []machine.BranchRec) bool {
 	ktry := e.k
 	if ktry > len(e.stack) {
@@ -123,6 +124,14 @@ func (e *engine) solveNext(branches []machine.BranchRec) bool {
 	}
 
 	for {
+		// Each iteration is a solve, and a deep path can hold thousands
+		// of infeasible flips, so the deadline and cancellation are
+		// polled here too.  A loop cut short marks nothing done: the
+		// untried branches stay untried and the search stops.
+		if reason, stop := e.tripped(); stop {
+			e.report.Stopped = reason
+			return false
+		}
 		j := e.pickBranch(branches, ktry)
 		if j < 0 {
 			return false

@@ -190,10 +190,7 @@ func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.
 	if e.prof != nil {
 		t0 = time.Now()
 	}
-	if e.ufbuf == nil {
-		e.ufbuf = map[symbolic.Var]symbolic.Var{}
-	}
-	slice, pruned := solver.CanonicalSliceScratch(pc, e.ufbuf)
+	slice, pruned := solver.CanonicalSliceScratch(pc, &e.ufbuf)
 	if e.prof != nil {
 		e.prof.Span(obs.SpanSlice, time.Since(t0))
 	}

@@ -1,6 +1,7 @@
 package concolic
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -44,6 +45,38 @@ func TestTimeoutStopsDivergingSearch(t *testing.T) {
 	}
 	if rep.Complete {
 		t.Error("a deadline-stopped search must not claim completeness")
+	}
+}
+
+// TestTimeoutStopsFlipLoop: after the first run of a 4,000-level nest
+// of `if (x) {`, the classic DFS tries every flip from the deepest up
+// inside one solve_path_constraint call, and all but the last are
+// infeasible: thousands of solves with no run in between.  The deadline
+// must be polled inside that loop, and a loop it cuts short must not
+// claim completeness.
+func TestTimeoutStopsFlipLoop(t *testing.T) {
+	const depth = 4000
+	src := "int f(int x) {\n" + strings.Repeat("if (x) {", depth) + strings.Repeat("}", depth) + "\nreturn 0;\n}\n"
+	prog := compile(t, src)
+	start := time.Now()
+	rep, err := Run(prog, Options{
+		Toplevel: "f",
+		MaxRuns:  1000,
+		Seed:     1,
+		Timeout:  250 * time.Millisecond,
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("deadline must yield a partial report, not an error: %v", err)
+	}
+	if elapsed > 1500*time.Millisecond {
+		t.Errorf("search took %v, want under 1.5s for a 250ms deadline", elapsed)
+	}
+	if rep.Stopped != StopDeadline {
+		t.Errorf("Stopped = %q, want %q", rep.Stopped, StopDeadline)
+	}
+	if rep.Complete {
+		t.Error("a search whose flip loop the deadline cut short must not claim completeness")
 	}
 }
 

@@ -321,8 +321,8 @@ func (m *Machine) loadSymK(addr int64) (*symbolic.Lin, int64, bool) {
 // pointerShapeOnly reports whether every variable of the form is a
 // pointer input (so the form's value is fixed by shape decisions alone).
 func (m *Machine) pointerShapeOnly(l *symbolic.Lin) bool {
-	for _, v := range l.Vars() {
-		if !m.isPointerVar(v) {
+	for _, t := range l.Terms {
+		if !m.isPointerVar(t.V) {
 			return false
 		}
 	}

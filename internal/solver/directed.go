@@ -39,6 +39,7 @@
 package solver
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -48,8 +49,8 @@ import (
 // CanonicalSlice returns the connected component of pc containing its
 // final predicate (the negated branch of Fig. 5), preserving pc's
 // predicate order, plus the number of predicates pruned away.
-// Components are computed under the "shares a variable" relation (zero
-// coefficients ignored); variable-free predicates belong to no component
+// Components are computed under the "shares a variable" relation;
+// variable-free predicates belong to no component
 // and are pruned unless they are the target itself.  When any predicate
 // is outside the theory (nil form), pc is returned unchanged so the
 // solver reports the failure on the full conjunction, exactly as
@@ -61,96 +62,76 @@ func CanonicalSlice(pc []symbolic.Pred) (slice []symbolic.Pred, pruned int) {
 	return CanonicalSliceScratch(pc, nil)
 }
 
-// CanonicalSliceScratch is CanonicalSlice with caller-provided union-find
-// scratch: parent (if non-nil) is cleared and reused, so a search's many
-// slicing calls share one map.  The scratch holds nothing after return.
-func CanonicalSliceScratch(pc []symbolic.Pred, parent map[symbolic.Var]symbolic.Var) (slice []symbolic.Pred, pruned int) {
+// CanonicalSliceScratch is CanonicalSlice with caller-provided
+// union-find scratch: *parent (if parent is non-nil) is grown as needed
+// and reused, so a search's many slicing calls share one slice.  The
+// union-find is dense over variable ids — symbolic.Vars are dense
+// registry indices — and every entry it reads is initialized by the
+// call itself, so the scratch needs no clearing and holds nothing the
+// caller must preserve.
+func CanonicalSliceScratch(pc []symbolic.Pred, parent *[]symbolic.Var) (slice []symbolic.Pred, pruned int) {
 	if len(pc) <= 1 {
 		return pc, 0
 	}
+	maxVar := symbolic.Var(-1)
 	for _, p := range pc {
 		if p.L == nil {
 			return pc, 0
+		}
+		// Terms ascend, so the last is the form's largest variable.
+		if n := len(p.L.Terms); n > 0 && p.L.Terms[n-1].V > maxVar {
+			maxVar = p.L.Terms[n-1].V
 		}
 	}
 
 	if len(pc) == 2 {
 		// Depth-one prefixes are the overwhelmingly common non-trivial
-		// case; decide them with a direct scan instead of union-find.
-		for v, c := range pc[1].L.Coeffs {
-			if c != 0 && pc[0].L.Coeff(v) != 0 {
-				return pc, 0
-			}
+		// case; decide them with a direct merge instead of union-find.
+		if shareVar(pc[0].L.Terms, pc[1].L.Terms) {
+			return pc, 0
 		}
 		// No shared variable (or a variable-free target): the prefix
 		// predicate is outside the component and is pruned.
 		return pc[1:], 1
 	}
 
-	// Union-find over variables; each predicate unions its variables.
-	// (Iterative find: no closure allocations on the solve path.  Any
-	// root choice yields the same partition, which is all the slice
-	// depends on.)
+	// Union-find over variables; each predicate unions its variables
+	// into its first one.  (Any root choice yields the same partition,
+	// which is all the slice depends on.)
 	if parent == nil {
-		parent = map[symbolic.Var]symbolic.Var{}
-	} else {
-		clear(parent)
+		parent = new([]symbolic.Var)
 	}
-	find := func(v symbolic.Var) symbolic.Var {
-		r, ok := parent[v]
-		if !ok {
-			parent[v] = v
-			return v
+	if n := int(maxVar) + 1; len(*parent) < n {
+		*parent = make([]symbolic.Var, n+n/2)
+	}
+	uf := *parent
+	for _, p := range pc {
+		for _, t := range p.L.Terms {
+			uf[t.V] = t.V
 		}
-		for r != parent[r] {
-			parent[r] = parent[parent[r]]
-			r = parent[r]
-		}
-		parent[v] = r
-		return r
 	}
 	for _, p := range pc {
-		var first symbolic.Var
-		seen := false
-		for v, c := range p.L.Coeffs {
-			if c == 0 {
-				continue
-			}
-			if !seen {
-				first, seen = v, true
-				find(v)
-				continue
-			}
-			ra, rb := find(first), find(v)
-			if ra != rb {
-				parent[ra] = rb
+		ts := p.L.Terms
+		for _, t := range ts[min(1, len(ts)):] {
+			if ra, rb := find(uf, ts[0].V), find(uf, t.V); ra != rb {
+				uf[ra] = rb
 			}
 		}
 	}
 
 	target := pc[len(pc)-1]
-	var targetRoot symbolic.Var
-	targetHasVars := false
-	for v, c := range target.L.Coeffs {
-		if c != 0 {
-			targetRoot, targetHasVars = find(v), true
-			break
-		}
-	}
-	if !targetHasVars {
+	if target.L.IsConst() {
 		// A constant target shares no variables with anything; solving it
 		// alone decides the flip, and VerifyAssignment still re-checks the
 		// pruned prefix.
 		return pc[len(pc)-1:], len(pc) - 1
 	}
+	targetRoot := find(uf, target.L.Terms[0].V)
 
+	// A predicate's variables all share one root, so its first term
+	// decides its component.
 	inComponent := func(p symbolic.Pred) bool {
-		for v, c := range p.L.Coeffs {
-			if c != 0 && find(v) == targetRoot {
-				return true
-			}
-		}
-		return false
+		return !p.L.IsConst() && find(uf, p.L.Terms[0].V) == targetRoot
 	}
 	kept := 0
 	for _, p := range pc {
@@ -168,6 +149,31 @@ func CanonicalSliceScratch(pc []symbolic.Pred, parent map[symbolic.Var]symbolic.
 		}
 	}
 	return slice, len(pc) - len(slice)
+}
+
+// find returns v's union-find root, halving the path as it goes.
+func find(parent []symbolic.Var, v symbolic.Var) symbolic.Var {
+	for parent[v] != v {
+		parent[v] = parent[parent[v]]
+		v = parent[v]
+	}
+	return v
+}
+
+// shareVar reports whether two sorted term lists mention a common
+// variable.
+func shareVar(a, b []symbolic.Term) bool {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].V < b[0].V:
+			a = a[1:]
+		case b[0].V < a[0].V:
+			b = b[1:]
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // CacheKey is the identity of one sliced solve: the slice's predicates
@@ -189,7 +195,7 @@ func CacheKey(slice []symbolic.Pred, hint symbolic.Vector) string {
 		b.WriteByte('&')
 	}
 	b.WriteByte('#')
-	sortVars(vs)
+	slices.Sort(vs)
 	for i, v := range vs {
 		if i > 0 && vs[i-1] == v {
 			continue
@@ -206,23 +212,10 @@ func CacheKey(slice []symbolic.Pred, hint symbolic.Vector) string {
 	return b.String()
 }
 
-// sortVars is an allocation-free insertion sort: key building sits on
-// the solve path and the var lists are short, so reflection-based
-// sort.Slice (closure + swapper allocations per call) costs more than
-// the sort itself.
-func sortVars(vs []symbolic.Var) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
-}
-
 // appendPredKey appends p's canonical rendering to b — relation code,
-// constant, then var:coeff pairs in ascending variable order (zero
-// coefficients skipped) — and appends p's variables to vs, which it
-// returns.  Structurally equal predicates, and only those, render
-// identically.
+// constant, then var:coeff pairs in ascending variable order — and
+// appends p's variables to vs, which it returns.  Structurally equal
+// predicates, and only those, render identically.
 func appendPredKey(b *strings.Builder, p symbolic.Pred, vs []symbolic.Var) []symbolic.Var {
 	b.WriteByte('r')
 	b.WriteString(strconv.Itoa(int(p.Rel)))
@@ -232,19 +225,12 @@ func appendPredKey(b *strings.Builder, p symbolic.Pred, vs []symbolic.Var) []sym
 	}
 	b.WriteByte('|')
 	b.WriteString(strconv.FormatInt(p.L.Const, 10))
-	start := len(vs)
-	for v, c := range p.L.Coeffs {
-		if c != 0 {
-			vs = append(vs, v)
-		}
-	}
-	own := vs[start:]
-	sortVars(own)
-	for _, v := range own {
+	for _, t := range p.L.Terms {
+		vs = append(vs, t.V)
 		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(int(v)))
+		b.WriteString(strconv.Itoa(int(t.V)))
 		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(p.L.Coeffs[v], 10))
+		b.WriteString(strconv.FormatInt(t.K, 10))
 	}
 	return vs
 }
@@ -286,20 +272,17 @@ func VerifyAssignmentScratch(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta
 			assign = make(map[symbolic.Var]int64, len(sol)+8)
 		}
 		hasPtr, hasScalar := false, false
-		for v, c := range p.L.Coeffs {
-			if c == 0 {
-				continue
-			}
-			if meta(v).Kind == symbolic.PointerVar {
+		for _, t := range p.L.Terms {
+			if meta(t.V).Kind == symbolic.PointerVar {
 				hasPtr = true
 			} else {
 				hasScalar = true
 			}
-			if _, ok := assign[v]; !ok {
-				if x, ok := sol[v]; ok {
-					assign[v] = x
+			if _, ok := assign[t.V]; !ok {
+				if x, ok := sol[t.V]; ok {
+					assign[t.V] = x
 				} else {
-					assign[v] = hint.Value(v)
+					assign[t.V] = hint.Value(t.V)
 				}
 			}
 		}
@@ -307,7 +290,7 @@ func VerifyAssignmentScratch(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta
 		case hasPtr && hasScalar:
 			return false
 		case hasPtr:
-			if evalPtrPred(symbolic.Pred{L: stripZeros(p.L), Rel: p.Rel}, assign) != triTrue {
+			if evalPtrPred(p, assign) != triTrue {
 				return false
 			}
 		default:

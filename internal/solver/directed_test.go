@@ -27,7 +27,7 @@ func TestCanonicalSliceIndependentClusters(t *testing.T) {
 		t.Fatalf("slice length = %d, want 2", len(slice))
 	}
 	for _, p := range slice {
-		if len(p.L.Coeffs) != 1 || p.L.Coeffs[0] == 0 {
+		if len(p.L.Terms) != 1 || p.L.Coeff(0) == 0 {
 			t.Errorf("slice predicate %v mentions variables outside the v0 component", p)
 		}
 	}
@@ -68,7 +68,7 @@ func TestCanonicalSliceConstantTarget(t *testing.T) {
 		pred(symbolic.GE, -4), // constant: -4 >= 0, variable-free
 	}
 	slice, pruned := CanonicalSlice(pc)
-	if pruned != 1 || len(slice) != 1 || len(slice[0].L.Coeffs) != 0 {
+	if pruned != 1 || len(slice) != 1 || len(slice[0].L.Terms) != 0 {
 		t.Errorf("constant target: slice %v pruned %d, want just the constant", slice, pruned)
 	}
 }

@@ -71,6 +71,7 @@ func PortableKey(slice []symbolic.Pred, hint symbolic.Vector, budget int64, name
 	type pair struct {
 		n string
 		v symbolic.Var
+		k int64
 	}
 	var pairs []pair
 	for _, p := range slice {
@@ -83,13 +84,11 @@ func PortableKey(slice []symbolic.Pred, hint symbolic.Vector, budget int64, name
 		b.WriteByte('|')
 		b.WriteString(strconv.FormatInt(p.L.Const, 10))
 		pairs = pairs[:0]
-		for v, c := range p.L.Coeffs {
-			if c != 0 {
-				pairs = append(pairs, pair{name(v), v})
-				if !seen[v] {
-					seen[v] = true
-					vars = append(vars, v)
-				}
+		for _, t := range p.L.Terms {
+			pairs = append(pairs, pair{name(t.V), t.V, t.K})
+			if !seen[t.V] {
+				seen[t.V] = true
+				vars = append(vars, t.V)
 			}
 		}
 		sort.Slice(pairs, func(i, j int) bool { return pairs[i].n < pairs[j].n })
@@ -104,7 +103,7 @@ func PortableKey(slice []symbolic.Pred, hint symbolic.Vector, budget int64, name
 			b.WriteByte(',')
 			b.WriteString(strconv.FormatInt(m.Hi, 10))
 			b.WriteString("}:")
-			b.WriteString(strconv.FormatInt(p.L.Coeffs[pr.v], 10))
+			b.WriteString(strconv.FormatInt(pr.k, 10))
 		}
 		b.WriteByte('&')
 	}

@@ -24,8 +24,11 @@ func intMetaFor(lo, hi int64) VarMeta {
 
 // pred builds c + sum(coeff*var) rel 0.
 func portablePred(rel symbolic.Rel, c int64, terms map[symbolic.Var]int64) symbolic.Pred {
-	l := &symbolic.Lin{Coeffs: terms, Const: c}
-	return symbolic.Pred{L: l, Rel: rel}
+	var ts []symbolic.Term
+	for v, k := range terms {
+		ts = append(ts, symbolic.Term{V: v, K: k})
+	}
+	return symbolic.Pred{L: symbolic.NewLin(c, ts...), Rel: rel}
 }
 
 // TestPortableKeyNumberingIndependent is the soundness property the

@@ -20,34 +20,11 @@
 package solver
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"dart/internal/symbolic"
 )
-
-// stripZeros removes explicit zero coefficients so that downstream
-// var-counting logic sees only genuine occurrences.
-func stripZeros(l *symbolic.Lin) *symbolic.Lin {
-	clean := true
-	for _, c := range l.Coeffs {
-		if c == 0 {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return l
-	}
-	out := l.Clone()
-	for v, c := range out.Coeffs {
-		if c == 0 {
-			delete(out.Coeffs, v)
-		}
-	}
-	return out
-}
 
 // VarMeta describes one variable's domain.
 type VarMeta struct {
@@ -187,12 +164,11 @@ func solve(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint symbolic.Ve
 		if p.L == nil {
 			return nil, false
 		}
-		p = symbolic.Pred{L: stripZeros(p.L), Rel: p.Rel}
 		hasPtr, hasScalar := false, false
-		for v := range p.L.Coeffs {
-			if meta(v).Kind == symbolic.PointerVar {
+		for _, t := range p.L.Terms {
+			if meta(t.V).Kind == symbolic.PointerVar {
 				hasPtr = true
-				ptrVars[v] = true
+				ptrVars[t.V] = true
 			} else {
 				hasScalar = true
 			}
@@ -231,9 +207,9 @@ func solve(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint symbolic.Ve
 	// at runtime (IM + IM' preserves uninvolved inputs), so verification
 	// must use it.
 	for _, p := range intPreds {
-		for v := range p.L.Coeffs {
-			if _, ok := solution[v]; !ok {
-				solution[v] = hint.Value(v)
+		for _, t := range p.L.Terms {
+			if _, ok := solution[t.V]; !ok {
+				solution[t.V] = hint.Value(t.V)
 			}
 		}
 	}
@@ -341,29 +317,30 @@ func solvePointers(preds []symbolic.Pred, vars map[symbolic.Var]bool, hint symbo
 func evalPtrPred(p symbolic.Pred, assign map[symbolic.Var]int64) tri {
 	k := p.L.Const
 	pos, neg := 0, 0
-	allocCoeffs := []int64{}
-	for v := range p.L.Coeffs {
-		if assign[v] == PtrNull {
+	var first, last int64 // the first and last alloc-var coefficients
+	for _, t := range p.L.Terms {
+		if assign[t.V] == PtrNull {
 			continue
 		}
-		c := p.L.Coeff(v)
-		allocCoeffs = append(allocCoeffs, c)
-		if c > 0 {
+		if pos+neg == 0 {
+			first = t.K
+		}
+		last = t.K
+		if t.K > 0 {
 			pos++
 		} else {
 			neg++
 		}
 	}
 	switch {
-	case len(allocCoeffs) == 0:
+	case pos+neg == 0:
 		return defTruth(cmpInt(k, p.Rel))
 	case pos > 0 && neg == 0:
 		return defTruth(cmpInf(+1, p.Rel))
 	case neg > 0 && pos == 0:
 		return defTruth(cmpInf(-1, p.Rel))
-	case len(allocCoeffs) == 2 && k == 0 &&
-		((allocCoeffs[0] == 1 && allocCoeffs[1] == -1) ||
-			(allocCoeffs[0] == -1 && allocCoeffs[1] == 1)):
+	case pos+neg == 2 && k == 0 &&
+		((first == 1 && last == -1) || (first == -1 && last == 1)):
 		// a - b with distinct allocations: nonzero, unknown sign.
 		switch p.Rel {
 		case symbolic.EQ:
@@ -429,15 +406,15 @@ func solveIntegers(preds []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint 
 
 	for _, p := range preds {
 		if p.Rel == symbolic.NE {
-			splits = append(splits, p.L.Clone())
+			splits = append(splits, p.L)
 			continue
 		}
 		var c cons
 		switch p.Rel {
 		case symbolic.EQ:
-			c = cons{l: p.L.Clone(), eq: true}
+			c = cons{l: p.L, eq: true}
 		case symbolic.LE:
-			c = cons{l: p.L.Clone()}
+			c = cons{l: p.L}
 		case symbolic.LT: // L < 0  ⇔  L + 1 ≤ 0 over ℤ
 			c = cons{l: shiftConst(p.L, 1)}
 		case symbolic.GE: // L ≥ 0  ⇔  -L ≤ 0
@@ -460,12 +437,12 @@ func solveIntegers(preds []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint 
 func violatedNE(splits []*symbolic.Lin, assign map[symbolic.Var]int64, hint symbolic.Vector) int {
 	for i, l := range splits {
 		total := l.Const
-		for v, c := range l.Coeffs {
-			val, ok := assign[v]
+		for _, t := range l.Terms {
+			val, ok := assign[t.V]
 			if !ok {
-				val = hint.Value(v)
+				val = hint.Value(t.V)
 			}
-			total += c * val
+			total += t.K * val
 		}
 		if total == 0 {
 			return i
@@ -478,8 +455,8 @@ func violatedNE(splits []*symbolic.Lin, assign map[symbolic.Var]int64, hint symb
 // when unknown).
 func evalHint(l *symbolic.Lin, hint symbolic.Vector) int64 {
 	total := l.Const
-	for v, k := range l.Coeffs {
-		total += k * hint.Value(v)
+	for _, t := range l.Terms {
+		total += t.K * hint.Value(t.V)
 	}
 	return total
 }
@@ -488,9 +465,7 @@ func shiftConst(l *symbolic.Lin, d int64) *symbolic.Lin {
 	if l == nil {
 		return nil
 	}
-	c := l.Clone()
-	c.Const += d
-	return c
+	return &symbolic.Lin{Terms: l.Terms, Const: l.Const + d} // terms are immutable: share them
 }
 
 type intSolver struct {
@@ -567,21 +542,19 @@ func (s *intSolver) solveCore(all []cons) (map[symbolic.Var]int64, bool) {
 			}
 			continue
 		}
-		// Find a ±1 coefficient to substitute on (smallest id for
-		// determinism).
+		// Find a ±1 coefficient to substitute on (the first in
+		// ascending variable order, for determinism).
 		var pivot symbolic.Var
-		found := false
-		for v, c := range l.Coeffs {
-			if (c == 1 || c == -1) && (!found || v < pivot) {
-				pivot, found = v, true
+		var c int64
+		for _, t := range l.Terms {
+			if t.K == 1 || t.K == -1 {
+				pivot, c = t.V, t.K
+				break
 			}
 		}
-		if !found {
+		if c == 0 {
 			// Check gcd feasibility, then relax into two inequalities.
-			g := int64(0)
-			for _, c := range l.Coeffs {
-				g = gcd(g, abs64(c))
-			}
+			g := termsGCD(l)
 			if g != 0 && l.Const%g != 0 {
 				return nil, false
 			}
@@ -593,10 +566,7 @@ func (s *intSolver) solveCore(all []cons) (map[symbolic.Var]int64, bool) {
 			continue
 		}
 		// pivot·c + rest = 0  ⇒  pivot = -rest/c  (c = ±1).
-		c := l.Coeff(pivot)
-		rest := l.Clone()
-		delete(rest.Coeffs, pivot)
-		expr := symbolic.Scale(rest, -c) // c = ±1 so -1/c == -c
+		expr := symbolic.Scale(l.Without(pivot), -c) // c = ±1 so -1/c == -c
 		if expr == nil {
 			return nil, false
 		}
@@ -616,13 +586,11 @@ func (s *intSolver) solveCore(all []cons) (map[symbolic.Var]int64, bool) {
 			if k == 0 {
 				return t
 			}
-			t2 := t.Clone()
-			delete(t2.Coeffs, pivot)
 			scaled := symbolic.Scale(expr, k)
 			if scaled == nil {
 				return nil
 			}
-			return symbolic.Add(t2, scaled)
+			return symbolic.Add(t.Without(pivot), scaled)
 		}
 		if !s.work.spend(int64(len(eqs) + len(ineqs))) {
 			return nil, false
@@ -650,9 +618,9 @@ func (s *intSolver) solveCore(all []cons) (map[symbolic.Var]int64, bool) {
 	// don't-cares, which default to their hints / zero).
 	for i := len(subs) - 1; i >= 0; i-- {
 		sub := subs[i]
-		for v := range sub.expr.Coeffs {
-			if _, have := assign[v]; !have {
-				assign[v] = s.hint.Value(v)
+		for _, t := range sub.expr.Terms {
+			if _, have := assign[t.V]; !have {
+				assign[t.V] = s.hint.Value(t.V)
 			}
 		}
 		assign[sub.v] = sub.expr.Eval(assign)
@@ -693,11 +661,7 @@ func (s *intSolver) fourierMotzkin(ineqs []*symbolic.Lin) (map[symbolic.Var]int6
 	}
 	// tighten folds the single-var row c·v + k ≤ 0 into v's interval.
 	tighten := func(l *symbolic.Lin) bool {
-		var v symbolic.Var
-		for w := range l.Coeffs {
-			v = w
-		}
-		c := l.Coeff(v)
+		v, c := l.Terms[0].V, l.Terms[0].K
 		b := getBnd(v)
 		if c > 0 { // v ≤ ⌊-k/c⌋
 			if u := floorDiv(-l.Const, c); u < b.hi {
@@ -714,7 +678,7 @@ func (s *intSolver) fourierMotzkin(ineqs []*symbolic.Lin) (map[symbolic.Var]int6
 
 	var sys []*symbolic.Lin
 	for _, l := range ineqs {
-		switch len(l.Coeffs) {
+		switch len(l.Terms) {
 		case 0:
 			if l.Const > 0 {
 				return nil, false
@@ -735,8 +699,8 @@ func (s *intSolver) fourierMotzkin(ineqs []*symbolic.Lin) (map[symbolic.Var]int6
 		// step); ties break on the smaller id for determinism.
 		occ := map[symbolic.Var]int{}
 		for _, l := range sys {
-			for v := range l.Coeffs {
-				occ[v]++
+			for _, t := range l.Terms {
+				occ[t.V]++
 			}
 		}
 		if len(occ) == 0 {
@@ -766,12 +730,8 @@ func (s *intSolver) fourierMotzkin(ineqs []*symbolic.Lin) (map[symbolic.Var]int6
 		}
 		pb := getBnd(pick)
 		// The interval contributes one upper and one lower row.
-		upBnd := symbolic.NewVar(pick)
-		upBnd.Const = -pb.hi
-		loBnd := symbolic.Scale(symbolic.NewVar(pick), -1)
-		loBnd.Const = pb.lo
-		uppers = append(uppers, upBnd)
-		lowers = append(lowers, loBnd)
+		uppers = append(uppers, symbolic.NewLin(-pb.hi, symbolic.Term{V: pick, K: 1}))
+		lowers = append(lowers, symbolic.NewLin(pb.lo, symbolic.Term{V: pick, K: -1}))
 		stages = append(stages, fmStage{v: pick, rows: mine, bnd: pb})
 
 		if len(uppers)*len(lowers) > maxCombos {
@@ -786,7 +746,8 @@ func (s *intSolver) fourierMotzkin(ineqs []*symbolic.Lin) (map[symbolic.Var]int6
 			for _, lo := range lowers {
 				a := u.Coeff(pick)   // a > 0
 				b := -lo.Coeff(pick) // b > 0
-				// b·u + a·lo ≤ 0 eliminates pick (real shadow).
+				// b·u + a·lo ≤ 0 eliminates pick (real shadow): its
+				// coefficients b·a and a·(-b) cancel, so Add drops it.
 				su := symbolic.Scale(u, b)
 				sl := symbolic.Scale(lo, a)
 				if su == nil || sl == nil {
@@ -796,9 +757,8 @@ func (s *intSolver) fourierMotzkin(ineqs []*symbolic.Lin) (map[symbolic.Var]int6
 				if comb == nil {
 					return nil, false
 				}
-				delete(comb.Coeffs, pick)
 				comb = normalizeRow(comb)
-				switch len(comb.Coeffs) {
+				switch len(comb.Terms) {
 				case 0:
 					if comb.Const > 0 {
 						return nil, false
@@ -830,10 +790,10 @@ func (s *intSolver) fourierMotzkin(ineqs []*symbolic.Lin) (map[symbolic.Var]int6
 	var free []symbolic.Var
 	for _, st := range stages {
 		for _, row := range st.rows {
-			for v := range row.Coeffs {
-				if !staged[v] {
-					staged[v] = true
-					free = append(free, v)
+			for _, t := range row.Terms {
+				if !staged[t.V] {
+					staged[t.V] = true
+					free = append(free, t.V)
 				}
 			}
 		}
@@ -931,18 +891,19 @@ func candidates(lo, hi int64, hint symbolic.Vector, v symbolic.Var) []int64 {
 func interval(v symbolic.Var, b varBounds, rows []*symbolic.Lin, assign map[symbolic.Var]int64, hint symbolic.Vector) (int64, int64, bool) {
 	lo, hi := b.lo, b.hi
 	for _, l := range rows {
-		c := l.Coeff(v)
+		var c int64
 		restVal := l.Const
-		for w, cw := range l.Coeffs {
-			if w == v {
+		for _, t := range l.Terms {
+			if t.V == v {
+				c = t.K
 				continue
 			}
-			val, have := assign[w]
+			val, have := assign[t.V]
 			if !have {
-				val = hint.Value(w)
-				assign[w] = val
+				val = hint.Value(t.V)
+				assign[t.V] = val
 			}
-			restVal += cw * val
+			restVal += t.K * val
 		}
 		// c·v + restVal ≤ 0.
 		switch {
@@ -968,40 +929,49 @@ func interval(v symbolic.Var, b varBounds, rows []*symbolic.Lin, assign map[symb
 // Σ(c/g)·x ≤ ⌊-k/g⌋.  This is the classic integer strengthening that
 // keeps Fourier–Motzkin coefficients small.
 func normalizeRow(l *symbolic.Lin) *symbolic.Lin {
-	g := int64(0)
-	for _, c := range l.Coeffs {
-		g = gcd(g, abs64(c))
-	}
+	g := termsGCD(l)
 	if g <= 1 {
 		return l
 	}
-	out := &symbolic.Lin{Coeffs: make(map[symbolic.Var]int64, len(l.Coeffs))}
-	for v, c := range l.Coeffs {
-		out.Coeffs[v] = c / g
+	// Dividing by the common gcd keeps the order and every coefficient
+	// nonzero, so the sorted-term invariant holds.
+	ts := make([]symbolic.Term, len(l.Terms))
+	for i, t := range l.Terms {
+		ts[i] = symbolic.Term{V: t.V, K: t.K / g}
 	}
-	out.Const = -floorDiv(-l.Const, g)
-	return out
+	return &symbolic.Lin{Terms: ts, Const: -floorDiv(-l.Const, g)}
+}
+
+// termsGCD returns the gcd of the form's coefficients (0 for a constant).
+func termsGCD(l *symbolic.Lin) int64 {
+	g := int64(0)
+	for _, t := range l.Terms {
+		g = gcd(g, abs64(t.K))
+	}
+	return g
 }
 
 // dedupe collapses rows with identical coefficient vectors, keeping the
-// tightest (largest) constant, via a hash key.
+// tightest (largest) constant, via a key rendering the terms.
 func dedupe(rows []*symbolic.Lin) []*symbolic.Lin {
 	byKey := make(map[string]int, len(rows))
 	out := rows[:0]
-	var key strings.Builder
+	var key []byte
 	for _, l := range rows {
-		key.Reset()
-		for _, v := range l.Vars() {
-			fmt.Fprintf(&key, "%d:%d;", v, l.Coeffs[v])
+		key = key[:0]
+		for _, t := range l.Terms {
+			key = strconv.AppendInt(key, int64(t.V), 10)
+			key = append(key, ':')
+			key = strconv.AppendInt(key, t.K, 10)
+			key = append(key, ';')
 		}
-		k := key.String()
-		if idx, ok := byKey[k]; ok {
+		if idx, ok := byKey[string(key)]; ok {
 			if l.Const > out[idx].Const {
 				out[idx] = l
 			}
 			continue
 		}
-		byKey[k] = len(out)
+		byKey[string(key)] = len(out)
 		out = append(out, l)
 	}
 	return out

@@ -9,11 +9,11 @@ import (
 )
 
 func lin(k int64, pairs ...int64) *symbolic.Lin {
-	l := &symbolic.Lin{Const: k, Coeffs: map[symbolic.Var]int64{}}
+	var ts []symbolic.Term
 	for i := 0; i+1 < len(pairs); i += 2 {
-		l.Coeffs[symbolic.Var(pairs[i])] = pairs[i+1]
+		ts = append(ts, symbolic.Term{V: symbolic.Var(pairs[i]), K: pairs[i+1]})
 	}
-	return l
+	return symbolic.NewLin(k, ts...)
 }
 
 func pred(rel symbolic.Rel, k int64, pairs ...int64) symbolic.Pred {
@@ -51,8 +51,8 @@ func mustSolve(t *testing.T, pc []symbolic.Pred, meta func(symbolic.Var) VarMeta
 }
 
 func firstVar(p symbolic.Pred) symbolic.Var {
-	for v := range p.L.Coeffs {
-		return v
+	for _, t := range p.L.Terms {
+		return t.V
 	}
 	return 0
 }
@@ -243,12 +243,13 @@ func TestRandomSystemsSoundness(t *testing.T) {
 		var pc []symbolic.Pred
 		nPreds := 1 + r.Intn(6)
 		for i := 0; i < nPreds; i++ {
-			l := &symbolic.Lin{Coeffs: map[symbolic.Var]int64{}}
+			var ts []symbolic.Term
 			for v := 0; v < nVars; v++ {
 				if r.Intn(2) == 0 {
-					l.Coeffs[symbolic.Var(v)] = int64(r.Intn(9) - 4)
+					ts = append(ts, symbolic.Term{V: symbolic.Var(v), K: int64(r.Intn(9) - 4)})
 				}
 			}
+			l := symbolic.NewLin(0, ts...)
 			val := l.Eval(witness)
 			// Choose a relation satisfied at the witness by adjusting
 			// the constant.
@@ -291,12 +292,14 @@ func TestRandomUnsatNeverLies(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		var pc []symbolic.Pred
 		for i := 0; i < 1+r.Intn(5); i++ {
-			l := &symbolic.Lin{Const: int64(r.Intn(40) - 20), Coeffs: map[symbolic.Var]int64{}}
+			k := int64(r.Intn(40) - 20)
+			var ts []symbolic.Term
 			for v := 0; v < 3; v++ {
 				if r.Intn(2) == 0 {
-					l.Coeffs[symbolic.Var(v)] = int64(r.Intn(7) - 3)
+					ts = append(ts, symbolic.Term{V: symbolic.Var(v), K: int64(r.Intn(7) - 3)})
 				}
 			}
+			l := symbolic.NewLin(k, ts...)
 			pc = append(pc, symbolic.Pred{L: l, Rel: rels[r.Intn(len(rels))]})
 		}
 		if sol, ok := Solve(pc, intMeta, symbolic.Vector{}); ok {

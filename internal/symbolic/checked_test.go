@@ -6,7 +6,7 @@ import (
 )
 
 func TestEvalCheckedAgreesInRange(t *testing.T) {
-	l := &Lin{Const: 3, Coeffs: map[Var]int64{1: 2, 2: -4}}
+	l := NewLin(3, Term{1, 2}, Term{2, -4})
 	assign := map[Var]int64{1: 4, 2: 10}
 	got, ok := l.EvalChecked(assign)
 	if !ok || got != l.Eval(assign) {
@@ -20,10 +20,10 @@ func TestEvalCheckedRejectsOverflow(t *testing.T) {
 		l      *Lin
 		assign map[Var]int64
 	}{
-		{"mul", &Lin{Coeffs: map[Var]int64{1: 2}}, map[Var]int64{1: math.MaxInt64}},
-		{"mul-min-neg1", &Lin{Coeffs: map[Var]int64{1: -1}}, map[Var]int64{1: math.MinInt64}},
-		{"add", &Lin{Const: math.MaxInt64, Coeffs: map[Var]int64{1: 1}}, map[Var]int64{1: 1}},
-		{"sum-of-terms", &Lin{Coeffs: map[Var]int64{1: 1, 2: 1}},
+		{"mul", NewLin(0, Term{1, 2}), map[Var]int64{1: math.MaxInt64}},
+		{"mul-min-neg1", NewLin(0, Term{1, -1}), map[Var]int64{1: math.MinInt64}},
+		{"add", NewLin(math.MaxInt64, Term{1, 1}), map[Var]int64{1: 1}},
+		{"sum-of-terms", NewLin(0, Term{1, 1}, Term{2, 1}),
 			map[Var]int64{1: math.MaxInt64, 2: math.MaxInt64}},
 	}
 	for _, c := range cases {

@@ -14,8 +14,10 @@
 package symbolic
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -36,21 +38,35 @@ const (
 	PointerVar
 )
 
-// Lin is an affine form Σ Coeffs[v]·v + Const.  A nil *Lin is "not in the
-// theory"; callers must treat it as concrete-only.
+// Term is one summand K·V of an affine form.
+type Term struct {
+	V Var
+	K int64
+}
+
+// Lin is an affine form Σ K·V + Const over its Terms.  A nil *Lin is
+// "not in the theory"; callers must treat it as concrete-only.
+//
+// Terms are kept in strictly ascending V order and never hold a zero
+// coefficient.  Every consumer therefore ranges over the same
+// deterministic order, two forms are equal exactly when their terms
+// are, and nothing downstream has to filter zeros or sort variables.
+//
+// Every Lin is immutable once published: the operations below build new
+// forms and never write to an operand, so forms may share one term
+// slice (a constant shift, a constant operand, a scale by one).  Term
+// slices are capped at their length, so not even an append to one can
+// reach storage another form reads.  Build forms with NewLin, NewVar,
+// NewConst and the arithmetic here, which keep the invariant.
 type Lin struct {
-	Coeffs map[Var]int64
-	Const  int64
-	// unit is v+1 for a form built by NewVar as 1·v + 0 (zero otherwise),
-	// so UnitVar answers without ranging over Coeffs.
-	unit Var
+	Terms []Term
+	Const int64
 }
 
 // Shared constant forms for the small values the shadow evaluator
 // produces constantly (untainted leaves, literals, comparison results).
-// Every Lin is immutable once published — all mutating operations work
-// on clones — so interning is safe, and it removes an allocation from
-// the machine's per-instruction shadow path.
+// Forms are immutable once published, so interning is safe, and it
+// removes an allocation from the machine's per-instruction shadow path.
 const (
 	internLo = -256
 	internHi = 1024
@@ -74,39 +90,94 @@ func NewConst(k int64) *Lin {
 
 // NewVar returns the form 1·v + 0.
 func NewVar(v Var) *Lin {
-	return &Lin{Coeffs: map[Var]int64{v: 1}, unit: v + 1}
+	return &Lin{Terms: []Term{{V: v, K: 1}}}
 }
 
-// Arena batch-allocates Lin headers for the machine's shadow and
-// branch-predicate paths.  Published Lins are immutable and escape into
-// BranchRec snapshots that outlive the run, so chunks are handed out
-// once and never recycled — the arena amortizes allocation (one chunk
-// allocation per arenaChunk forms), it does not reclaim memory; a chunk
-// is collected when the last form in it dies.  The zero Arena is ready
-// to use.  A nil *Arena falls back to individual heap allocation, which
-// is how the package-level Add/Sub/Scale share the arithmetic below.
-// Not safe for concurrent use; each machine owns one.
+// NewLin returns the form Σ terms + k as a fresh header the caller may
+// still adjust before publishing it.  terms may come in any order, repeat
+// a variable and hold zero coefficients: repeats are summed in the order
+// given and zero sums dropped, so the result keeps the sorted-term
+// invariant.  It returns nil when a sum overflows int64.
+func NewLin(k int64, terms ...Term) *Lin {
+	ts := slices.Clone(terms)
+	slices.SortStableFunc(ts, func(a, b Term) int { return cmp.Compare(a.V, b.V) })
+	out := ts[:0]
+	for _, t := range ts {
+		if n := len(out); n > 0 && out[n-1].V == t.V {
+			s, ok := addOverflow(out[n-1].K, t.K)
+			if !ok {
+				return nil
+			}
+			out[n-1].K = s
+			continue
+		}
+		out = append(out, t)
+	}
+	out = slices.DeleteFunc(out, func(t Term) bool { return t.K == 0 })
+	return &Lin{Terms: out[:len(out):len(out)], Const: k}
+}
+
+// Arena batch-allocates forms for the machine's shadow and
+// branch-predicate paths: Lin headers from one chunk, term storage from
+// another.  Published forms are immutable and escape into BranchRec
+// snapshots that outlive the run, so chunks are handed out once and
+// never recycled — the arena amortizes allocation (one allocation per
+// arenaChunk headers or arenaTerms terms), it does not reclaim memory;
+// a chunk is collected when the last form in it dies.  The zero Arena
+// is ready to use.  A nil *Arena falls back to individual heap
+// allocation, which is how the package-level Add/Sub/Scale share the
+// arithmetic below.  Not safe for concurrent use; each machine owns one.
 type Arena struct {
 	chunk []Lin
+	// terms is the unused tail of the current term chunk.
+	terms []Term
 }
 
-const arenaChunk = 512
+// A long-lived form pins its whole chunk, so term chunks are kept small:
+// at 512 terms the live heap of a miniSIP re-audit grew ~6%, at 256 ~2%.
+const (
+	arenaChunk = 512
+	arenaTerms = 256
+)
 
-// alloc returns a Lin header housing (coeffs, k).  The map is shared,
-// not copied — callers pass either a map they own or one borrowed from
-// an immutable published form.
-func (ar *Arena) alloc(coeffs map[Var]int64, k int64) *Lin {
+// alloc returns a Lin header housing (terms, k).  terms is shared, not
+// copied — callers pass storage they just built or the terms of an
+// immutable published form.
+func (ar *Arena) alloc(terms []Term, k int64) *Lin {
 	if ar == nil {
-		return &Lin{Coeffs: coeffs, Const: k}
+		return &Lin{Terms: terms, Const: k}
 	}
 	if len(ar.chunk) == 0 {
 		ar.chunk = make([]Lin, arenaChunk)
 	}
 	l := &ar.chunk[0]
 	ar.chunk = ar.chunk[1:]
-	l.Coeffs = coeffs
+	l.Terms = terms
 	l.Const = k
 	return l
+}
+
+// room returns an empty term slice with capacity n at the arena's free
+// cursor; keep then claims the terms written into it.  A result that is
+// abandoned (on overflow) costs nothing: the cursor only moves in keep.
+func (ar *Arena) room(n int) []Term {
+	if ar == nil || n > arenaTerms/4 {
+		return make([]Term, 0, n)
+	}
+	if len(ar.terms) < n {
+		ar.terms = make([]Term, arenaTerms)
+	}
+	return ar.terms[:0:n]
+}
+
+// keep claims ts, built in room's slice, capping it at its length so
+// the published form's terms stay out of reach of later appends.
+func (ar *Arena) keep(ts []Term) []Term {
+	n := len(ts)
+	if ar != nil && n > 0 && len(ar.terms) > 0 && &ar.terms[0] == &ts[0] {
+		ar.terms = ar.terms[n:]
+	}
+	return ts[:n:n]
 }
 
 // NewConst is NewConst through the arena; interned forms still shared.
@@ -117,150 +188,135 @@ func (ar *Arena) NewConst(k int64) *Lin {
 	return ar.alloc(nil, k)
 }
 
-// NewVar is NewVar through the arena (the header; the coefficient map
-// is still an individual allocation).
+// NewVar is NewVar through the arena.
 func (ar *Arena) NewVar(v Var) *Lin {
-	l := ar.alloc(map[Var]int64{v: 1}, 0)
-	l.unit = v + 1
-	return l
+	ts := append(ar.room(1), Term{V: v, K: 1})
+	return ar.alloc(ar.keep(ts), 0)
 }
 
 // UnitVar reports whether the form is exactly 1·v + 0, returning v.
 func (l *Lin) UnitVar() (Var, bool) {
-	if l.Const != 0 || len(l.Coeffs) != 1 {
+	if l.Const != 0 || len(l.Terms) != 1 || l.Terms[0].K != 1 {
 		return 0, false
 	}
-	if l.unit != 0 {
-		// Built by NewVar, and its constant and size still match (the
-		// solver adjusts the constant of fresh NewVar forms).
-		return l.unit - 1, true
-	}
-	for v, k := range l.Coeffs {
-		return v, k == 1
-	}
-	return 0, false
+	return l.Terms[0].V, true
 }
 
 // IsConst reports whether the form has no variables.
-func (l *Lin) IsConst() bool { return len(l.Coeffs) == 0 }
+func (l *Lin) IsConst() bool { return len(l.Terms) == 0 }
 
 // ConstVal returns the constant term; meaningful when IsConst.
 func (l *Lin) ConstVal() int64 { return l.Const }
 
-// Clone returns a deep copy.
+// Clone returns a copy that shares no storage with l.
 func (l *Lin) Clone() *Lin {
-	c := &Lin{Const: l.Const, Coeffs: make(map[Var]int64, len(l.Coeffs))}
-	for v, k := range l.Coeffs {
-		c.Coeffs[v] = k
-	}
-	return c
+	return &Lin{Terms: slices.Clip(slices.Clone(l.Terms)), Const: l.Const}
 }
 
 // Vars returns the variables of the form in ascending order.
 func (l *Lin) Vars() []Var {
-	vs := make([]Var, 0, len(l.Coeffs))
-	for v := range l.Coeffs {
-		vs = append(vs, v)
+	vs := make([]Var, len(l.Terms))
+	for i, t := range l.Terms {
+		vs[i] = t.V
 	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
 	return vs
 }
 
 // Coeff returns the coefficient of v (0 when absent).
-func (l *Lin) Coeff(v Var) int64 { return l.Coeffs[v] }
+func (l *Lin) Coeff(v Var) int64 {
+	for _, t := range l.Terms {
+		if t.V >= v {
+			if t.V == v {
+				return t.K
+			}
+			break
+		}
+	}
+	return 0
+}
 
-func (l *Lin) set(v Var, k int64) {
-	if k == 0 {
-		delete(l.Coeffs, v)
-		return
+// Without returns the form with v's term removed (l itself when v does
+// not occur).  Dropping the first or last term shares l's storage.
+func (l *Lin) Without(v Var) *Lin {
+	ts := l.Terms
+	i := slices.IndexFunc(ts, func(t Term) bool { return t.V == v })
+	switch {
+	case i < 0:
+		return l
+	case i == 0:
+		return &Lin{Terms: ts[1:], Const: l.Const}
+	case i == len(ts)-1:
+		return &Lin{Terms: ts[:i:i], Const: l.Const}
 	}
-	if l.Coeffs == nil {
-		l.Coeffs = map[Var]int64{}
-	}
-	l.Coeffs[v] = k
+	out := make([]Term, 0, len(ts)-1)
+	out = append(append(out, ts[:i]...), ts[i+1:]...)
+	return &Lin{Terms: out, Const: l.Const}
 }
 
 // Add returns a+b, or nil on coefficient overflow.
 func Add(a, b *Lin) *Lin { return (*Arena)(nil).Add(a, b) }
 
 // Add is the arena form of the package-level Add.
-func (ar *Arena) Add(a, b *Lin) *Lin {
-	// Constant operands share the other side's coefficient map (Lins
-	// are immutable once published; see Sub).
-	if len(b.Coeffs) == 0 {
-		k, ok := addOverflow(a.Const, b.Const)
-		if !ok {
-			return nil
-		}
-		return ar.alloc(a.Coeffs, k)
-	}
-	if len(a.Coeffs) == 0 {
-		k, ok := addOverflow(a.Const, b.Const)
-		if !ok {
-			return nil
-		}
-		return ar.alloc(b.Coeffs, k)
-	}
-	kc, ok := addOverflow(a.Const, b.Const)
-	if !ok {
-		return nil
-	}
-	coeffs := make(map[Var]int64, len(a.Coeffs)+len(b.Coeffs))
-	for v, k := range a.Coeffs {
-		coeffs[v] = k
-	}
-	for v, k := range b.Coeffs {
-		nk, ok := addOverflow(coeffs[v], k)
-		if !ok {
-			return nil
-		}
-		if nk == 0 {
-			delete(coeffs, v)
-		} else {
-			coeffs[v] = nk
-		}
-	}
-	return ar.alloc(coeffs, kc)
-}
+func (ar *Arena) Add(a, b *Lin) *Lin { return ar.merge(a, b, false) }
 
 // Sub returns a-b, or nil on overflow.  This sits on the machine's
 // branch-predicate path (every tainted conditional computes lhs-rhs),
-// so it builds the result in one allocation instead of going through
-// Scale + Add's clone — and when b is constant (comparisons against
-// literals, the overwhelmingly common branch shape) it shares a's
-// coefficient map outright: published Lins are immutable, so two forms
-// may alias one map.
+// so it merges the two term lists in one pass — and when b is constant
+// (comparisons against literals, the overwhelmingly common branch
+// shape) the result shares a's terms outright.
 func Sub(a, b *Lin) *Lin { return (*Arena)(nil).Sub(a, b) }
 
 // Sub is the arena form of the package-level Sub.
-func (ar *Arena) Sub(a, b *Lin) *Lin {
-	if len(b.Coeffs) == 0 {
-		k, ok := subOverflow(a.Const, b.Const)
-		if !ok {
-			return nil
-		}
-		return ar.alloc(a.Coeffs, k)
+func (ar *Arena) Sub(a, b *Lin) *Lin { return ar.merge(a, b, true) }
+
+// merge returns a+b, or a-b when neg, as one merge of the two sorted
+// term lists; nil on overflow.  A constant operand contributes no terms,
+// so the result shares the other side's term slice.
+func (ar *Arena) merge(a, b *Lin, neg bool) *Lin {
+	k, ok := addOverflow(a.Const, b.Const)
+	if neg {
+		k, ok = subOverflow(a.Const, b.Const)
 	}
-	kc, ok := subOverflow(a.Const, b.Const)
 	if !ok {
 		return nil
 	}
-	coeffs := make(map[Var]int64, len(a.Coeffs)+len(b.Coeffs))
-	for v, k := range a.Coeffs {
-		coeffs[v] = k
+	if len(b.Terms) == 0 {
+		return ar.alloc(a.Terms, k)
 	}
-	for v, k := range b.Coeffs {
-		nk, ok := subOverflow(coeffs[v], k)
-		if !ok {
-			return nil
-		}
-		if nk == 0 {
-			delete(coeffs, v)
-		} else {
-			coeffs[v] = nk
+	if len(a.Terms) == 0 && !neg {
+		return ar.alloc(b.Terms, k)
+	}
+	at, bt := a.Terms, b.Terms
+	ts := ar.room(len(at) + len(bt))
+	for len(at) > 0 || len(bt) > 0 {
+		switch {
+		case len(bt) == 0 || (len(at) > 0 && at[0].V < bt[0].V):
+			ts = append(ts, at[0])
+			at = at[1:]
+		case len(at) == 0 || bt[0].V < at[0].V:
+			t := bt[0]
+			bt = bt[1:]
+			if neg {
+				if t.K, ok = subOverflow(0, t.K); !ok {
+					return nil
+				}
+			}
+			ts = append(ts, t)
+		default:
+			s, ok := addOverflow(at[0].K, bt[0].K)
+			if neg {
+				s, ok = subOverflow(at[0].K, bt[0].K)
+			}
+			if !ok {
+				return nil
+			}
+			if s != 0 {
+				ts = append(ts, Term{V: at[0].V, K: s})
+			}
+			at, bt = at[1:], bt[1:]
 		}
 	}
-	return ar.alloc(coeffs, kc)
+	return ar.alloc(ar.keep(ts), k)
 }
 
 // Scale returns k·a, or nil on overflow.
@@ -275,24 +331,26 @@ func (ar *Arena) Scale(a *Lin, k int64) *Lin {
 	if !ok {
 		return nil
 	}
-	coeffs := make(map[Var]int64, len(a.Coeffs))
-	for v, cv := range a.Coeffs {
-		nk, ok := mulOverflow(cv, k)
+	if k == 0 || len(a.Terms) == 0 {
+		return ar.alloc(nil, kc)
+	}
+	// k ≠ 0 and no zero coefficients: every product is nonzero.
+	ts := ar.room(len(a.Terms))
+	for _, t := range a.Terms {
+		p, ok := mulOverflow(t.K, k)
 		if !ok {
 			return nil
 		}
-		if nk != 0 {
-			coeffs[v] = nk
-		}
+		ts = append(ts, Term{V: t.V, K: p})
 	}
-	return ar.alloc(coeffs, kc)
+	return ar.alloc(ar.keep(ts), kc)
 }
 
 // Eval evaluates the form under the assignment.
 func (l *Lin) Eval(assign map[Var]int64) int64 {
 	total := l.Const
-	for v, k := range l.Coeffs {
-		total += k * assign[v]
+	for _, t := range l.Terms {
+		total += t.K * assign[t.V]
 	}
 	return total
 }
@@ -304,12 +362,12 @@ func (l *Lin) Eval(assign map[Var]int64) int64 {
 // checks (the solver's candidate verification) must use this form.
 func (l *Lin) EvalChecked(assign map[Var]int64) (total int64, ok bool) {
 	total = l.Const
-	for v, k := range l.Coeffs {
-		p, ok := checkedMul(k, assign[v])
+	for _, t := range l.Terms {
+		p, ok := mulOverflow(t.K, assign[t.V])
 		if !ok {
 			return 0, false
 		}
-		total, ok = checkedAdd(total, p)
+		total, ok = addOverflow(total, p)
 		if !ok {
 			return 0, false
 		}
@@ -319,51 +377,10 @@ func (l *Lin) EvalChecked(assign map[Var]int64) (total int64, ok bool) {
 
 // Equal reports structural equality of two forms.
 func (l *Lin) Equal(o *Lin) bool {
-	if l.Const != o.Const || len(l.Coeffs) != len(o.Coeffs) {
-		return false
-	}
-	for v, k := range l.Coeffs {
-		if o.Coeffs[v] != k {
-			return false
-		}
-	}
-	return true
+	return l.Const == o.Const && slices.Equal(l.Terms, o.Terms)
 }
 
-func (l *Lin) String() string {
-	if l == nil {
-		return "<fallback>"
-	}
-	var b strings.Builder
-	first := true
-	for _, v := range l.Vars() {
-		k := l.Coeffs[v]
-		switch {
-		case first && k == 1:
-			fmt.Fprintf(&b, "x%d", v)
-		case first:
-			fmt.Fprintf(&b, "%d*x%d", k, v)
-		case k == 1:
-			fmt.Fprintf(&b, " + x%d", v)
-		case k == -1:
-			fmt.Fprintf(&b, " - x%d", v)
-		case k > 0:
-			fmt.Fprintf(&b, " + %d*x%d", k, v)
-		default:
-			fmt.Fprintf(&b, " - %d*x%d", -k, v)
-		}
-		first = false
-	}
-	switch {
-	case first:
-		fmt.Fprintf(&b, "%d", l.Const)
-	case l.Const > 0:
-		fmt.Fprintf(&b, " + %d", l.Const)
-	case l.Const < 0:
-		fmt.Fprintf(&b, " - %d", -l.Const)
-	}
-	return b.String()
-}
+func (l *Lin) String() string { return l.StringNamed(nil) }
 
 func subOverflow(a, b int64) (int64, bool) {
 	d := a - b
@@ -381,29 +398,9 @@ func addOverflow(a, b int64) (int64, bool) {
 	return s, true
 }
 
+// mulOverflow is the exact overflow-detecting product.  The quotient
+// check alone misses MinInt64 · -1, which wraps back to MinInt64.
 func mulOverflow(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	p := a * b
-	if p/b != a {
-		return 0, false
-	}
-	return p, true
-}
-
-// checkedAdd and checkedMul are exact overflow-detecting int64 ops for
-// EvalChecked.  Unlike mulOverflow they also reject MinInt64 * -1 (whose
-// quotient check passes by two's-complement wraparound).
-func checkedAdd(a, b int64) (int64, bool) {
-	s := a + b
-	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
-		return 0, false
-	}
-	return s, true
-}
-
-func checkedMul(a, b int64) (int64, bool) {
 	if a == 0 || b == 0 {
 		return 0, true
 	}
@@ -497,18 +494,17 @@ func (l *Lin) StringNamed(name func(Var) string) string {
 	if l == nil {
 		return "<fallback>"
 	}
-	if name == nil {
-		return l.String()
-	}
 	var b strings.Builder
-	first := true
-	for _, v := range l.Vars() {
-		k := l.Coeffs[v]
-		n := name(v)
+	for i, t := range l.Terms {
+		n := "x" + strconv.Itoa(int(t.V))
+		if name != nil {
+			n = name(t.V)
+		}
+		k := t.K
 		switch {
-		case first && k == 1:
+		case i == 0 && k == 1:
 			b.WriteString(n)
-		case first:
+		case i == 0:
 			fmt.Fprintf(&b, "%d*%s", k, n)
 		case k == 1:
 			fmt.Fprintf(&b, " + %s", n)
@@ -519,10 +515,9 @@ func (l *Lin) StringNamed(name func(Var) string) string {
 		default:
 			fmt.Fprintf(&b, " - %d*%s", -k, n)
 		}
-		first = false
 	}
 	switch {
-	case first:
+	case len(l.Terms) == 0:
 		fmt.Fprintf(&b, "%d", l.Const)
 	case l.Const > 0:
 		fmt.Fprintf(&b, " + %d", l.Const)

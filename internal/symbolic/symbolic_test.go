@@ -2,16 +2,17 @@ package symbolic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func lin(consts int64, pairs ...int64) *Lin {
-	l := &Lin{Const: consts, Coeffs: map[Var]int64{}}
+	var ts []Term
 	for i := 0; i+1 < len(pairs); i += 2 {
-		l.Coeffs[Var(pairs[i])] = pairs[i+1]
+		ts = append(ts, Term{V: Var(pairs[i]), K: pairs[i+1]})
 	}
-	return l
+	return NewLin(consts, ts...)
 }
 
 func TestAddSub(t *testing.T) {
@@ -21,7 +22,7 @@ func TestAddSub(t *testing.T) {
 	if sum.Const != 7 || sum.Coeff(0) != 0 || sum.Coeff(1) != -1 || sum.Coeff(2) != 5 {
 		t.Fatalf("sum = %v", sum)
 	}
-	if _, present := sum.Coeffs[0]; present {
+	if slices.Contains(sum.Vars(), 0) {
 		t.Error("zero coefficient should be dropped")
 	}
 	diff := Sub(a, a)
@@ -58,15 +59,16 @@ func TestOverflowDetection(t *testing.T) {
 func TestEvalMatchesStructure(t *testing.T) {
 	// Property: Eval is a ring homomorphism for Add/Sub/Scale.
 	gen := func(r *rand.Rand) (*Lin, map[Var]int64) {
-		l := &Lin{Const: r.Int63n(1000) - 500, Coeffs: map[Var]int64{}}
+		k := r.Int63n(1000) - 500
+		var ts []Term
 		env := map[Var]int64{}
 		for v := Var(0); v < 4; v++ {
 			if r.Intn(2) == 0 {
-				l.Coeffs[v] = r.Int63n(20) - 10
+				ts = append(ts, Term{V: v, K: r.Int63n(20) - 10})
 			}
 			env[v] = r.Int63n(100) - 50
 		}
-		return l, env
+		return NewLin(k, ts...), env
 	}
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
@@ -88,7 +90,7 @@ func TestEvalMatchesStructure(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	a := lin(1, 0, 2)
 	c := a.Clone()
-	c.Coeffs[0] = 99
+	c.Terms[0].K = 99
 	c.Const = 99
 	if a.Coeff(0) != 2 || a.Const != 1 {
 		t.Fatal("Clone aliases the original")
@@ -195,8 +197,8 @@ func TestUnitVar(t *testing.T) {
 	}{
 		{NewVar(4), 4, true},
 		{(&Arena{}).NewVar(9), 9, true},
-		{&Lin{Coeffs: map[Var]int64{2: 1}}, 2, true},
-		{&Lin{Coeffs: map[Var]int64{2: 3}}, 0, false},
+		{NewLin(0, Term{V: 2, K: 1}), 2, true},
+		{NewLin(0, Term{V: 2, K: 3}), 0, false},
 		{shifted, 0, false},
 		{Add(NewVar(1), NewVar(2)), 0, false},
 		{NewConst(5), 0, false},

@@ -21,6 +21,15 @@ go test -count=1 -run 'TestServerLiveAudit' ./internal/ops/
 # jobs-independence with the cache on, and replayable random-mode bugs.
 go test -count=1 -run 'TestSolveCache|TestSlicingOnClusters|TestRandomBugsReplay' ./internal/concolic/
 go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
+# Solver oracle: fuzz small integer systems and check every verdict by
+# brute force — a Sat model must satisfy the system inside its domain
+# box, and an Unsat must have no witness there (Theorem 1(b) rests on
+# the solver never refuting a feasible branch).
+go test -run '^$' -fuzz '^FuzzSolverOracle$' -fuzztime 20s ./internal/solver/
+# Flip-loop deadline: a 4,000-level nest makes one Fig. 5 call try
+# thousands of infeasible flips; Options.Timeout must stop it promptly
+# and the cut-short search must not claim completeness.
+go test -count=1 -run 'TestTimeoutStopsFlipLoop' ./internal/concolic/
 # Parallel search gate: worker-count determinism, pool invariants, and
 # the shared solve cache under the race detector, then a real CLI audit
 # driving the pool end to end (exit 1 = bugs found, the expected result).
