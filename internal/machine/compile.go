@@ -91,7 +91,7 @@ func (m *Machine) execCompiled(cf *cfunc, args []Value) (Value, *RunError) {
 			return Value{}, m.memErr(err, token.Pos{})
 		}
 		if args[i].Sym != nil && !args[i].Sym.IsConst() {
-			m.setSym(addr, args[i].Sym)
+			m.mem.SetShadow(addr, args[i].Sym)
 		}
 	}
 
@@ -182,9 +182,9 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 				return 0, m.memErr(err, pos)
 			}
 			if sym != nil && !sym.IsConst() {
-				m.setSym(addr, sym)
+				m.mem.SetShadow(addr, sym)
 			} else {
-				m.clearSym(addr)
+				m.mem.ClearTaint(addr)
 			}
 			return next, nil
 		}
@@ -299,9 +299,9 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 					return 0, m.memErr(err, pos)
 				}
 				if ret.Sym != nil && !ret.Sym.IsConst() {
-					m.setSym(dstAddr, ret.Sym)
+					m.mem.SetShadow(dstAddr, ret.Sym)
 				} else {
-					m.clearSym(dstAddr)
+					m.mem.ClearTaint(dstAddr)
 				}
 			}
 			return next, nil
@@ -377,7 +377,7 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 				if serr := m.mem.Store(addr, ret); serr != nil {
 					return 0, m.memErr(serr, pos)
 				}
-				m.clearSym(addr)
+				m.mem.ClearTaint(addr)
 			}
 			return next, nil
 		}
@@ -428,7 +428,7 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 			if err := m.mem.Store(addr, region); err != nil {
 				return 0, m.memErr(err, pos)
 			}
-			m.clearSym(addr)
+			m.mem.ClearTaint(addr)
 			return next, nil
 		}
 
@@ -492,14 +492,14 @@ func (c *Compiled) compileExpr(e ir.Expr) cexpr {
 			if err != nil {
 				return 0, err
 			}
-			v, tainted, err := m.mem.LoadT(a)
+			v, sym, err := m.mem.LoadS(a)
 			if err != nil {
 				return 0, err
 			}
-			if tainted {
+			if sym != nil {
 				m.taintHit = true
 				if m.shapeSearch {
-					if err := m.noteDecision(a, v, true); err != nil {
+					if err := m.noteDecision(sym, v); err != nil {
 						return 0, err
 					}
 				}

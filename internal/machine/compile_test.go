@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"dart/internal/mem"
 	"dart/internal/symbolic"
+	"dart/internal/types"
 )
 
 // twoEngines builds a compiled machine and a reference interpreter
@@ -187,6 +189,78 @@ int outer(int x) {
 	}
 	if pooled.AllLinear() != fresh.AllLinear() || pooled.AllLocsDefinite() != fresh.AllLocsDefinite() {
 		t.Errorf("completeness flags diverge after poisoned run")
+	}
+}
+
+// TestResetDropsShadow checks that no symbolic shadow outlives Reset:
+// the shadow slots are never zeroed, so the cleared taint bits alone
+// must hide every form the previous run left in globals, in a frame and
+// in a heap block — even once the same cells are mapped again.
+func TestResetDropsShadow(t *testing.T) {
+	src := `
+int g;
+int probe(int x, int *p) {
+    int local = x + 1;
+    g = x + 2;
+    if (local + *p > 0) return 1;
+    return 0;
+}
+`
+	prog := compile(t, src)
+	for _, code := range []*Compiled{nil, Compile(prog)} {
+		inputs := newFixedSource()
+		inputs.pointers["p"] = true
+		m, err := New(Config{Prog: prog, Inputs: inputs, LibImpls: StdLibImpls(), Code: code})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Record every tainted cell while the run is at its branch, with
+		// the frame still live.
+		var tainted [3][]int64
+		m.onBranch = func(BranchRec) error {
+			for i, base := range []int64{mem.GlobalBase, mem.StackBase, mem.HeapBase} {
+				for a := base; a < base+64; a++ {
+					if _, ok := m.SymAt(a); ok {
+						tainted[i] = append(tainted[i], a)
+					}
+				}
+			}
+			return nil
+		}
+		cell, _ := m.Mem().Alloc(1)
+		if err := m.RandomInit(cell, &types.Pointer{Elem: types.IntType}, &Slot{Key: "p"}); err != nil {
+			t.Fatal(err)
+		}
+		p, _ := m.ArgValue(cell)
+		x := Value{V: 4, Sym: symbolic.NewVar(symbolic.Var(100))}
+		if _, rerr := m.RunCall("probe", []Value{x, p}); rerr != nil {
+			t.Fatal(rerr)
+		}
+		for i, name := range []string{"globals", "frame", "heap"} {
+			if len(tainted[i]) == 0 {
+				t.Fatalf("engine %v: the run tainted no %s cell", code != nil, name)
+			}
+		}
+
+		if err := m.Reset(newFixedSource()); err != nil {
+			t.Fatal(err)
+		}
+		// Map the frame and heap spans again so stale slots sit under
+		// mapped cells; the globals were remapped by Reset itself.
+		m.Mem().PushFrame(prog.Funcs["probe"].FrameSize)
+		for i := 0; i < 4; i++ {
+			_, _ = m.Mem().Alloc(1)
+		}
+		for _, cells := range tainted {
+			for _, a := range cells {
+				if !m.Mem().Mapped(a) {
+					t.Fatalf("engine %v: cell %d not remapped after Reset", code != nil, a)
+				}
+				if l, ok := m.SymAt(a); ok {
+					t.Errorf("engine %v: SymAt(%d) = %v after Reset, want none", code != nil, a, l)
+				}
+			}
+		}
 	}
 }
 

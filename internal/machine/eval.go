@@ -25,11 +25,11 @@ func (m *Machine) evalConcrete(e ir.Expr, frame int64) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		v, tainted, err := m.mem.LoadT(addr)
+		v, sym, err := m.mem.LoadS(addr)
 		if err != nil {
 			return 0, err
 		}
-		if err := m.noteDecision(addr, v, tainted); err != nil {
+		if err := m.noteDecision(sym, v); err != nil {
 			return 0, err
 		}
 		return v, nil
@@ -301,19 +301,17 @@ func (m *Machine) wrapK(l *symbolic.Lin, ty *types.Basic) (*symbolic.Lin, int64,
 }
 
 // loadSymK reads the symbolic (or concrete) content of a definite
-// address.  The taint bit gates the shadow map: a clear bit means the
-// cell is concrete even if a stale map entry survives from an earlier
-// frame or overwrite.  (Shadow entries are non-const by the setSym
-// call sites' discipline, preserving evalSym's normalization.)
+// address.  The taint bit gates the shadow slot: a clear bit means the
+// cell is concrete even if a stale form survives from an earlier frame
+// or overwrite.  (Shadow forms are non-const by the SetShadow call
+// sites' discipline, preserving evalSym's normalization.)
 func (m *Machine) loadSymK(addr int64) (*symbolic.Lin, int64, bool) {
-	v, tainted, err := m.mem.LoadT(addr)
+	v, sym, err := m.mem.LoadS(addr)
 	if err != nil {
 		return nil, 0, true
 	}
-	if tainted {
-		if s, ok := m.sym[addr]; ok {
-			return s, 0, false
-		}
+	if sym != nil {
+		return sym, 0, false
 	}
 	return nil, v, false
 }

@@ -26,7 +26,7 @@ func evalMachine(t *testing.T, concrete int64) (*Machine, ir.Expr) {
 		t.Fatal(err)
 	}
 	v, _ := src.VarOf("x", symbolic.ScalarVar, types.IntType)
-	m.setSym(addr, symbolic.NewVar(v))
+	m.mem.SetShadow(addr, symbolic.NewVar(v))
 	return m, &ir.Load{Addr: &ir.GlobalAddr{Off: 0}}
 }
 
@@ -317,9 +317,9 @@ func TestPointerShapeOnlyRefinement(t *testing.T) {
 	_ = m.Mem().Store(ptrCell, region)
 	_ = m.Mem().Store(region, 99)
 	pv, _ := m.slotVar(&Slot{Key: "p"}, symbolic.PointerVar, nil)
-	m.setSym(ptrCell, symbolic.NewVar(pv))
+	m.mem.SetShadow(ptrCell, symbolic.NewVar(pv))
 	sv, _ := m.slotVar(&Slot{Key: "p.*"}, symbolic.ScalarVar, types.IntType)
-	m.setSym(region, symbolic.NewVar(sv))
+	m.mem.SetShadow(region, symbolic.NewVar(sv))
 
 	deref := &ir.Load{Addr: &ir.Load{Addr: &ir.GlobalAddr{Off: 0}}}
 	l := symEval(t, m, deref)

@@ -173,8 +173,7 @@ const DefaultMaxSteps = 2_000_000
 // Machine is the state of one instrumented run.
 type Machine struct {
 	prog     *ir.Prog
-	mem      *mem.M
-	sym      map[int64]*symbolic.Lin // the paper's S
+	mem      *mem.M // the paper's M, with S in its shadow slots
 	inputs   InputSource
 	onBranch BranchHook
 	libs     map[string]LibImpl
@@ -266,7 +265,6 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		prog:            cfg.Prog,
 		mem:             mem.New(),
-		sym:             map[int64]*symbolic.Lin{},
 		inputs:          cfg.Inputs,
 		onBranch:        cfg.OnBranch,
 		libs:            cfg.LibImpls,
@@ -338,7 +336,6 @@ func (m *Machine) Reset(inputs InputSource) error {
 		x.n = 0
 	}
 	clear(m.decided)
-	clear(m.sym)
 	m.mem.Reset()
 	return m.initGlobals()
 }
@@ -387,15 +384,11 @@ func (m *Machine) GlobalAddr(off int64) int64 { return m.globalBase + off }
 func (m *Machine) Mem() *mem.M { return m.mem }
 
 // SymAt returns the symbolic value stored for addr, if any.  The taint
-// bit is authoritative: entries left in the map for cells whose taint
-// bit was cleared (by a concrete overwrite, frame pop, or free) are
-// dead.
+// bit is authoritative: shadow slots left behind by a concrete
+// overwrite, frame pop, free or Reset are dead.
 func (m *Machine) SymAt(addr int64) (*symbolic.Lin, bool) {
-	if !m.mem.Tainted(addr) {
-		return nil, false
-	}
-	l, ok := m.sym[addr]
-	return l, ok
+	l := m.mem.Shadow(addr)
+	return l, l != nil
 }
 
 // ShadowEvals returns the number of instruction-level symbolic shadow
@@ -403,19 +396,6 @@ func (m *Machine) SymAt(addr int64) (*symbolic.Lin, bool) {
 // operands skip shadow evaluation entirely, so a fully concrete program
 // reports zero.
 func (m *Machine) ShadowEvals() int64 { return m.shadowEvals }
-
-// setSym records a live symbolic shadow for addr: the map entry holds
-// the value, the taint bit makes it visible.
-func (m *Machine) setSym(addr int64, l *symbolic.Lin) {
-	m.sym[addr] = l
-	m.mem.SetTaint(addr)
-}
-
-// clearSym marks addr concrete.  Only the taint bit is cleared; the map
-// entry (if any) becomes unreachable and is dropped wholesale on Reset.
-func (m *Machine) clearSym(addr int64) {
-	m.mem.ClearTaint(addr)
-}
 
 // shadowEval is the counted instruction-level entry into evaluate_symbolic.
 // It returns a form only when the expression is genuinely input-dependent;
@@ -451,12 +431,12 @@ func (m *Machine) RandomInit(addr int64, t types.Type, s *Slot) error {
 			return err
 		}
 		if ok {
-			m.setSym(addr, m.varLin(sv))
+			m.mem.SetShadow(addr, m.varLin(sv))
 		}
 		return nil
 	case *types.Pointer:
 		if sv, ok := m.slotVar(s, symbolic.PointerVar, nil); ok {
-			m.setSym(addr, m.varLin(sv))
+			m.mem.SetShadow(addr, m.varLin(sv))
 		}
 		if !m.inputs.PointerInput(s) {
 			return m.mem.Store(addr, 0)
@@ -503,13 +483,9 @@ type Value struct {
 
 // ArgValue reads the input cell at addr as a call argument.
 func (m *Machine) ArgValue(addr int64) (Value, error) {
-	v, tainted, err := m.mem.LoadT(addr)
+	v, sym, err := m.mem.LoadS(addr)
 	if err != nil {
 		return Value{}, err
-	}
-	var sym *symbolic.Lin
-	if tainted {
-		sym = m.sym[addr]
 	}
 	return Value{V: v, Sym: sym}, nil
 }
@@ -554,7 +530,7 @@ func (m *Machine) exec(f *ir.Func, args []Value) (Value, *RunError) {
 	frame := m.mem.PushFrame(f.FrameSize)
 	// PopFrame clears the frame's taint bits, which kills any symbolic
 	// shadows before the addresses are recycled by a later frame (the
-	// shadow map entries become unreachable; Reset drops them wholesale).
+	// stale shadow slots stay behind, dead under their clear bits).
 	defer m.mem.PopFrame(frame, f.FrameSize)
 
 	for i, p := range f.Params {
@@ -563,7 +539,7 @@ func (m *Machine) exec(f *ir.Func, args []Value) (Value, *RunError) {
 			return Value{}, m.memErr(err, token.Pos{})
 		}
 		if args[i].Sym != nil && !args[i].Sym.IsConst() {
-			m.setSym(addr, args[i].Sym)
+			m.mem.SetShadow(addr, args[i].Sym)
 		}
 	}
 
@@ -677,15 +653,11 @@ func (m *Machine) memErr(err error, pos token.Pos) *RunError {
 }
 
 // noteDecision emits the synthetic Decision record for a pointer input
-// whose value was just read, once per run.  tainted is the loaded
-// cell's taint bit: untainted cells carry no live shadow, so they can
-// never be a pointer input's home.
-func (m *Machine) noteDecision(addr, v int64, tainted bool) error {
-	if !m.shapeSearch || !tainted {
-		return nil
-	}
-	l, ok := m.sym[addr]
-	if !ok {
+// whose value v was just read, once per run.  l is the loaded cell's
+// live shadow: untainted cells (nil) carry none, so they can never be a
+// pointer input's home.
+func (m *Machine) noteDecision(l *symbolic.Lin, v int64) error {
+	if !m.shapeSearch || l == nil {
 		return nil
 	}
 	sv, unit := l.UnitVar()
@@ -734,9 +706,9 @@ func (m *Machine) doAssign(ins *ir.Assign, frame int64) *RunError {
 		return m.memErr(err, ins.Pos)
 	}
 	if sym != nil && !sym.IsConst() {
-		m.setSym(addr, sym)
+		m.mem.SetShadow(addr, sym)
 	} else {
-		m.clearSym(addr)
+		m.mem.ClearTaint(addr)
 	}
 	return nil
 }
@@ -760,7 +732,7 @@ func (m *Machine) doAlloc(ins *ir.Alloc, frame int64) *RunError {
 	if err := m.mem.Store(addr, region); err != nil {
 		return m.memErr(err, ins.Pos)
 	}
-	m.clearSym(addr)
+	m.mem.ClearTaint(addr)
 	return nil
 }
 
@@ -796,9 +768,9 @@ func (m *Machine) doCall(ins *ir.Call, frame int64) *RunError {
 			return m.memErr(err, ins.Pos)
 		}
 		if ret.Sym != nil && !ret.Sym.IsConst() {
-			m.setSym(dstAddr, ret.Sym)
+			m.mem.SetShadow(dstAddr, ret.Sym)
 		} else {
-			m.clearSym(dstAddr)
+			m.mem.ClearTaint(dstAddr)
 		}
 	}
 	return nil
@@ -855,7 +827,7 @@ func (m *Machine) doCallLib(ins *ir.CallLib, frame int64) *RunError {
 		if serr := m.mem.Store(addr, ret); serr != nil {
 			return m.memErr(serr, ins.Pos)
 		}
-		m.clearSym(addr)
+		m.mem.ClearTaint(addr)
 	}
 	return nil
 }

@@ -1,5 +1,6 @@
 // Package mem implements the RAM-machine memory M of Sec. 2.2: a mapping
-// from addresses to word values, updated with M + [m -> v].
+// from addresses to word values, updated with M + [m -> v], together
+// with the symbolic memory S that shadows it.
 //
 // The address space is partitioned into a global region, a stack of call
 // frames, and a heap.  Only explicitly mapped cells are accessible;
@@ -8,17 +9,25 @@
 // Heap regions are separated by guard gaps so small overflows fault
 // instead of silently landing in a neighboring object.
 //
-// Each of the three regions is a flat array of cells plus two bitmaps:
-// "mapped" (is the cell accessible) and "taint" (does the cell carry a
-// live symbolic shadow value in the machine's S map).  The taint bitmap
-// is what lets the execution engine skip symbolic shadow evaluation for
-// instructions whose operands are provably concrete: a load from an
-// untainted cell can only produce a constant shadow.  Unmapping (frame
-// pop, free, Reset) clears taint word-at-a-time, so stale shadow map
-// entries above a popped frame are dead by construction.
+// Each of the three regions is a flat array of cells, a parallel shadow
+// slice of symbolic forms (S, indexed by the same cell offset), and two
+// bitmaps: "mapped" (is the cell accessible) and "taint" (does the
+// cell's shadow slot hold a live symbolic value).  The taint bit is the
+// only authority over the shadow: a slot is read only while its bit is
+// set, so mapping, unmapping and Reset clear bits word-at-a-time and
+// never touch the slots — a stale form under a clear bit is dead by
+// construction.  The same bitmap lets the execution engine skip
+// symbolic shadow evaluation for instructions whose operands are
+// provably concrete: a load from an untainted cell can only produce a
+// constant shadow.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+
+	"dart/internal/symbolic"
+)
 
 // Address space layout (cell addresses).
 const (
@@ -69,12 +78,14 @@ func (f *Fault) Error() string {
 }
 
 // region is one contiguous slab of the address space.  vals holds cell
-// values; mapped and taint are per-cell bitmaps (64 cells per word).
+// values and shadow their symbolic forms (meaningful only under a set
+// taint bit); mapped and taint are per-cell bitmaps (64 cells per word).
 // Slices only ever grow (high-water mark); Reset zeroes the bitmaps but
 // keeps the capacity so a pooled machine's N runs share one footprint.
 type region struct {
 	base   int64
 	vals   []int64
+	shadow []*symbolic.Lin
 	mapped []uint64
 	taint  []uint64
 }
@@ -118,10 +129,14 @@ func (r *region) ensure(n int64) {
 	}
 	if int64(cap(r.vals)) >= n {
 		r.vals = r.vals[:n]
+		r.shadow = r.shadow[:n]
 	} else {
 		nv := make([]int64, n, n+n/2)
 		copy(nv, r.vals)
 		r.vals = nv
+		ns := make([]*symbolic.Lin, n, n+n/2)
+		copy(ns, r.shadow)
+		r.shadow = ns
 	}
 	nw := words(int64(len(r.vals)))
 	for int64(len(r.mapped)) < nw {
@@ -132,7 +147,9 @@ func (r *region) ensure(n int64) {
 	}
 }
 
-// mapRange makes cells [off, off+n) accessible, zero-filled and untainted.
+// mapRange makes cells [off, off+n) accessible, zero-filled and
+// untainted.  Shadow slots keep whatever they held: the clear taint bits
+// make them dead.
 func (r *region) mapRange(off, n int64) {
 	r.ensure(off + n)
 	for i := off; i < off+n; i++ {
@@ -142,7 +159,8 @@ func (r *region) mapRange(off, n int64) {
 	clearRange(r.taint, off, off+n)
 }
 
-// unmapRange makes cells [off, off+n) inaccessible and drops their taint.
+// unmapRange makes cells [off, off+n) inaccessible and drops their
+// taint (the shadow slots are left as they are, dead).
 func (r *region) unmapRange(off, n int64) {
 	clearRange(r.mapped, off, off+n)
 	clearRange(r.taint, off, off+n)
@@ -168,9 +186,16 @@ type M struct {
 	stackNext  int64
 	heapNext   int64
 
-	// regions maps live heap region bases to their sizes.
-	regions map[int64]int64
+	// regions lists every heap region allocated since Reset in address
+	// order (the heap is a bump allocator); a freed region keeps its
+	// entry with size 0.  live counts the entries not yet freed.
+	regions []heapRegion
+	live    int
 }
+
+// heapRegion is one allocation: its base address and size in cells
+// (0 once freed).
+type heapRegion struct{ base, size int64 }
 
 // New returns an empty memory.
 func New() *M {
@@ -181,13 +206,13 @@ func New() *M {
 		globalNext: GlobalBase,
 		stackNext:  StackBase,
 		heapNext:   HeapBase,
-		regions:    map[int64]int64{},
 	}
 }
 
 // Reset unmaps everything — globals, frames, heap regions, and all taint
 // bits — restoring the address allocators, while keeping the backing
 // arrays' capacity so a pooled machine reuses one allocation footprint.
+// Shadow slots are not cleared: with every taint bit down they are dead.
 func (m *M) Reset() {
 	m.global.reset()
 	m.stack.reset()
@@ -195,7 +220,8 @@ func (m *M) Reset() {
 	m.globalNext = GlobalBase
 	m.stackNext = StackBase
 	m.heapNext = HeapBase
-	clear(m.regions)
+	m.regions = m.regions[:0]
+	m.live = 0
 }
 
 // locate resolves addr to its region and cell offset; ok is false when
@@ -258,7 +284,8 @@ func (m *M) Alloc(size int64) (int64, error) {
 	base := m.heapNext
 	m.heap.mapRange(base-HeapBase, size)
 	m.heapNext += size + guardGap
-	m.regions[base] = size
+	m.regions = append(m.regions, heapRegion{base: base, size: size})
+	m.live++
 	return base, nil
 }
 
@@ -269,12 +296,13 @@ func (m *M) Free(base int64) error {
 	if base == 0 {
 		return nil
 	}
-	size, ok := m.regions[base]
-	if !ok {
+	i := sort.Search(len(m.regions), func(i int) bool { return m.regions[i].base >= base })
+	if i == len(m.regions) || m.regions[i].base != base || m.regions[i].size == 0 {
 		return &Fault{Kind: FreeFault, Addr: base}
 	}
-	m.heap.unmapRange(base-HeapBase, size)
-	delete(m.regions, base)
+	m.heap.unmapRange(base-HeapBase, m.regions[i].size)
+	m.regions[i].size = 0
+	m.live--
 	return nil
 }
 
@@ -287,14 +315,18 @@ func (m *M) Load(addr int64) (int64, error) {
 	return r.vals[off], nil
 }
 
-// LoadT reads the cell at addr together with its taint bit, in one
-// address decode — the hot-path entry for the compiled engine.
-func (m *M) LoadT(addr int64) (v int64, tainted bool, err error) {
+// LoadS reads the cell at addr together with its symbolic shadow, in
+// one address decode — the hot-path entry for the execution engines.
+// The shadow is nil unless the cell's taint bit is set.
+func (m *M) LoadS(addr int64) (v int64, sym *symbolic.Lin, err error) {
 	r, off, ok := m.locate(addr)
 	if !ok {
-		return 0, false, &Fault{Kind: LoadFault, Addr: addr}
+		return 0, nil, &Fault{Kind: LoadFault, Addr: addr}
 	}
-	return r.vals[off], getBit(r.taint, off), nil
+	if getBit(r.taint, off) {
+		sym = r.shadow[off]
+	}
+	return r.vals[off], sym, nil
 }
 
 // Store writes v to the cell at addr.
@@ -307,26 +339,31 @@ func (m *M) Store(addr, v int64) error {
 	return nil
 }
 
-// SetTaint marks the mapped cell at addr as carrying a live symbolic
-// shadow value. Unmapped addresses are ignored (the paired Store faulted
-// first).
-func (m *M) SetTaint(addr int64) {
+// SetShadow records l as the live symbolic shadow of the mapped cell at
+// addr and sets its taint bit.  Unmapped addresses are ignored (the
+// paired Store faulted first).
+func (m *M) SetShadow(addr int64, l *symbolic.Lin) {
 	if r, off, ok := m.locate(addr); ok {
+		r.shadow[off] = l
 		setBit(r.taint, off)
 	}
 }
 
-// ClearTaint marks the cell at addr as concrete.
+// Shadow returns the live symbolic shadow of the cell at addr, or nil
+// when the cell is unmapped or concrete.
+func (m *M) Shadow(addr int64) *symbolic.Lin {
+	if r, off, ok := m.locate(addr); ok && getBit(r.taint, off) {
+		return r.shadow[off]
+	}
+	return nil
+}
+
+// ClearTaint marks the cell at addr as concrete; its shadow slot becomes
+// dead.
 func (m *M) ClearTaint(addr int64) {
 	if r, off, ok := m.locate(addr); ok {
 		clearBit(r.taint, off)
 	}
-}
-
-// Tainted reports whether the cell at addr carries a live shadow value.
-func (m *M) Tainted(addr int64) bool {
-	r, off, ok := m.locate(addr)
-	return ok && getBit(r.taint, off)
 }
 
 // Mapped reports whether addr is currently accessible.
@@ -336,4 +373,4 @@ func (m *M) Mapped(addr int64) bool {
 }
 
 // LiveRegions returns the number of live heap regions (for leak stats).
-func (m *M) LiveRegions() int { return len(m.regions) }
+func (m *M) LiveRegions() int { return m.live }

@@ -3,6 +3,8 @@ package mem
 import (
 	"errors"
 	"testing"
+
+	"dart/internal/symbolic"
 )
 
 func TestGlobalsZeroFilled(t *testing.T) {
@@ -158,13 +160,135 @@ func TestRegionsDisjoint(t *testing.T) {
 func TestLiveRegions(t *testing.T) {
 	m := New()
 	a, _ := m.Alloc(1)
-	_, _ = m.Alloc(1)
-	if m.LiveRegions() != 2 {
+	b, _ := m.Alloc(1)
+	c, _ := m.Alloc(4)
+	if m.LiveRegions() != 3 {
 		t.Fatalf("live = %d", m.LiveRegions())
 	}
-	_ = m.Free(a)
-	if m.LiveRegions() != 1 {
+	_ = m.Free(b)
+	if m.LiveRegions() != 2 {
 		t.Fatalf("live = %d after free", m.LiveRegions())
+	}
+	// A faulting free (double free) must not move the count.
+	_ = m.Free(b)
+	if m.LiveRegions() != 2 {
+		t.Fatalf("live = %d after double free", m.LiveRegions())
+	}
+	_ = m.Free(a)
+	_ = m.Free(c)
+	if m.LiveRegions() != 0 {
+		t.Fatalf("live = %d after freeing everything", m.LiveRegions())
+	}
+	_, _ = m.Alloc(2)
+	_, _ = m.Alloc(2)
+	m.Reset()
+	if m.LiveRegions() != 0 {
+		t.Fatalf("live = %d after Reset", m.LiveRegions())
+	}
+	if _, err := m.Alloc(1); err != nil || m.LiveRegions() != 1 {
+		t.Fatalf("live = %d after Alloc following Reset (err %v)", m.LiveRegions(), err)
+	}
+}
+
+// TestFreeFaults pins the region table's fault cases: every bad free
+// is a FreeFault at the freed address, and none disturbs a live region.
+func TestFreeFaults(t *testing.T) {
+	m := New()
+	a, _ := m.Alloc(3)
+	b, _ := m.Alloc(3)
+	stale, _ := m.Alloc(2)
+	wantFreeFault := func(what string, addr int64) {
+		t.Helper()
+		err := m.Free(addr)
+		var f *Fault
+		if !errors.As(err, &f) || f.Kind != FreeFault || f.Addr != addr {
+			t.Errorf("%s: Free(%d) = %v, want a FreeFault at %d", what, addr, err, addr)
+		}
+	}
+	if err := m.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	wantFreeFault("double free", a)
+	wantFreeFault("interior pointer", b+1)
+	wantFreeFault("guard gap", b+3)
+	wantFreeFault("below the first region", HeapBase-1)
+	wantFreeFault("past the last region", m.heapNext)
+	if _, err := m.Load(b); err != nil {
+		t.Fatalf("live region disturbed by faulting frees: %v", err)
+	}
+	m.Reset()
+	wantFreeFault("base from before Reset", stale)
+	wantFreeFault("base from before Reset", b)
+}
+
+// TestStaleShadowInvisible checks that the taint bit alone decides
+// whether a shadow slot is visible: after every way a cell stops being
+// symbolic, LoadS and Shadow report no shadow even though the slot
+// itself still holds the old form.
+func TestStaleShadowInvisible(t *testing.T) {
+	l := symbolic.NewVar(symbolic.Var(3))
+	noShadow := func(what string, m *M, addr int64) {
+		t.Helper()
+		if s := m.Shadow(addr); s != nil {
+			t.Errorf("%s: Shadow(%d) = %v, want nil", what, addr, s)
+		}
+		if v, s, err := m.LoadS(addr); err != nil || s != nil || v != 0 {
+			t.Errorf("%s: LoadS(%d) = (%d, %v, %v), want (0, nil, nil)", what, addr, v, s, err)
+		}
+	}
+
+	m := New()
+	g := m.MapGlobals(4)
+	m.SetShadow(g+1, l)
+	if v, s, err := m.LoadS(g + 1); err != nil || s != l || v != 0 {
+		t.Fatalf("live shadow: LoadS = (%d, %v, %v)", v, s, err)
+	}
+	if m.Shadow(g+1) != l {
+		t.Fatal("live shadow not visible through Shadow")
+	}
+	m.ClearTaint(g + 1)
+	noShadow("ClearTaint", m, g+1)
+
+	f := m.PushFrame(4)
+	m.SetShadow(f+2, l)
+	m.PopFrame(f, 4)
+	if m.Shadow(f+2) != nil {
+		t.Error("popped frame's shadow visible")
+	}
+	if f2 := m.PushFrame(4); f2 != f {
+		t.Fatalf("frame not pushed at the same base: %d vs %d", f2, f)
+	}
+	noShadow("PopFrame then PushFrame", m, f+2)
+
+	h, _ := m.Alloc(3)
+	m.SetShadow(h, l)
+	if err := m.Free(h); err != nil {
+		t.Fatal(err)
+	}
+	if m.Shadow(h) != nil {
+		t.Error("freed region's shadow visible")
+	}
+	if _, _, err := m.LoadS(h); err == nil {
+		t.Error("LoadS of a freed cell did not fault")
+	}
+	// The bump allocator hands the freed span out again only after
+	// Reset; the re-allocated cells must come back concrete.
+	m.SetShadow(g+2, l)
+	m.Reset()
+	if h2, _ := m.Alloc(3); h2 != h {
+		t.Fatalf("span not reused after Reset: %d vs %d", h2, h)
+	}
+	noShadow("Free then Alloc", m, h)
+	if g2 := m.MapGlobals(4); g2 != g {
+		t.Fatalf("globals not remapped at the same base: %d vs %d", g2, g)
+	}
+	noShadow("Reset then MapGlobals", m, g+2)
+
+	// Unmapped cells take no shadow at all.
+	m.SetShadow(0, l)
+	m.SetShadow(h+3, l)
+	if m.Shadow(0) != nil || m.Shadow(h+3) != nil {
+		t.Error("SetShadow on an unmapped address took effect")
 	}
 }
 

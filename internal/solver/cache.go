@@ -14,6 +14,13 @@ import (
 // this bounds memory without measurable hit-rate loss.
 const DefaultCacheCap = 1024
 
+// maxCacheKeyBytes bounds the key bytes one cache retains, whatever its
+// entry capacity (a ShardedCache splits it over its shards).  Keys grow
+// with path depth, so on a deeply nested program the entry cap alone
+// would let a cache hold gigabytes of keys; ordinary searches stay far
+// below this ceiling and never evict for it.
+const maxCacheKeyBytes = 16 << 20
+
 // CachedSolve is one memoized slice-level solve result: the verdict and,
 // for Sat, the model.  It is the *pre-verification* result — callers
 // re-verify against their full conjunction on every use, so a cached
@@ -43,12 +50,14 @@ type SolveCache interface {
 // is identical to re-running the solver: caching can change how fast a
 // search runs, never what it finds.
 type Cache struct {
-	cap     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recent
-	hits    int64
-	misses  int64
-	evicted int64
+	cap      int
+	maxBytes int // key-byte ceiling
+	bytes    int // key bytes currently retained
+	entries  map[string]*list.Element
+	lru      *list.List // front = most recent
+	hits     int64
+	misses   int64
+	evicted  int64
 }
 
 type cacheEntry struct {
@@ -57,15 +66,20 @@ type cacheEntry struct {
 }
 
 // NewCache returns a cache holding up to capacity entries (<= 0 selects
-// DefaultCacheCap).
+// DefaultCacheCap) and at most maxCacheKeyBytes of keys.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCap
 	}
+	return newCache(capacity, maxCacheKeyBytes)
+}
+
+func newCache(capacity, maxBytes int) *Cache {
 	return &Cache{
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
+		cap:      capacity,
+		maxBytes: maxBytes,
+		entries:  make(map[string]*list.Element),
+		lru:      list.New(),
 	}
 }
 
@@ -84,28 +98,33 @@ func (c *Cache) Get(key string) (CachedSolve, bool) {
 	return res, true
 }
 
-// Put memoizes the result for key, evicting the least recently used
-// entry when full; it reports whether an eviction happened.  The model
-// is copied at store time.
+// Put memoizes the result for key, evicting least recently used entries
+// until both the entry capacity and the key-byte ceiling hold; it
+// reports whether an eviction happened.  A key longer than the whole
+// ceiling is not stored.  The model is copied at store time.
 func (c *Cache) Put(key string, verdict Verdict, model map[symbolic.Var]int64) (evicted bool) {
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).res = CachedSolve{Verdict: verdict, Model: copyModel(model)}
 		c.lru.MoveToFront(el)
 		return false
 	}
-	if c.lru.Len() >= c.cap {
+	if len(key) > c.maxBytes {
+		return false
+	}
+	for c.lru.Len() >= c.cap || c.bytes+len(key) > c.maxBytes {
 		oldest := c.lru.Back()
-		if oldest != nil {
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
-			c.lru.Remove(oldest)
-			c.evicted++
-			evicted = true
-		}
+		k := oldest.Value.(*cacheEntry).key
+		delete(c.entries, k)
+		c.lru.Remove(oldest)
+		c.bytes -= len(k)
+		c.evicted++
+		evicted = true
 	}
 	c.entries[key] = c.lru.PushFront(&cacheEntry{
 		key: key,
 		res: CachedSolve{Verdict: verdict, Model: copyModel(model)},
 	})
+	c.bytes += len(key)
 	return evicted
 }
 
@@ -146,7 +165,8 @@ type cacheShard struct {
 
 // NewShardedCache returns a sharded cache holding up to capacity entries
 // in total (<= 0 selects DefaultCacheCap), spread over at least shards
-// shards (rounded up to a power of two, minimum 2).
+// shards (rounded up to a power of two, minimum 2).  The key-byte
+// ceiling is split over the shards the same way.
 func NewShardedCache(capacity, shards int) *ShardedCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCap
@@ -161,7 +181,7 @@ func NewShardedCache(capacity, shards int) *ShardedCache {
 	}
 	s := &ShardedCache{shards: make([]cacheShard, n), mask: uint32(n - 1)}
 	for i := range s.shards {
-		s.shards[i].c = NewCache(per)
+		s.shards[i].c = newCache(per, maxCacheKeyBytes/n)
 	}
 	return s
 }
@@ -195,10 +215,12 @@ func (s *ShardedCache) Get(key string) (CachedSolve, bool) {
 func (s *ShardedCache) Put(key string, verdict Verdict, model map[symbolic.Var]int64) (evicted bool) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
+	before := sh.c.evicted
 	evicted = sh.c.Put(key, verdict, model)
+	n := sh.c.evicted - before
 	sh.mu.Unlock()
-	if evicted {
-		s.evicts.Add(1)
+	if n > 0 {
+		s.evicts.Add(n)
 	}
 	return evicted
 }

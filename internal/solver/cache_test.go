@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,5 +114,63 @@ func TestShardedCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := c.Hits() + c.Misses(); got != 8*500 {
 		t.Errorf("hits+misses = %d, want %d", got, 8*500)
+	}
+}
+
+// TestCacheKeyBytesBound fills both cache kinds with 64 distinct 1 MiB
+// keys — far fewer entries than the capacity, far more key bytes than
+// the ceiling — and checks that the key bytes retained stay under the
+// ceiling, with Len and Evictions accounting for every byte-driven
+// eviction.
+func TestCacheKeyBytesBound(t *testing.T) {
+	const n = 64
+	pad := strings.Repeat("k", 1<<20-8)
+	key := func(i int) string { return fmt.Sprintf("%s%08d", pad, i) }
+
+	c := NewCache(0)
+	for i := 0; i < n; i++ {
+		c.Put(key(i), Unsat, nil)
+	}
+	if c.bytes > maxCacheKeyBytes {
+		t.Errorf("Cache retains %d key bytes, ceiling %d", c.bytes, maxCacheKeyBytes)
+	}
+	if want := maxCacheKeyBytes / (1 << 20); c.Len() != want {
+		t.Errorf("Cache Len = %d, want %d", c.Len(), want)
+	}
+	if c.Len()+int(c.Evictions()) != n {
+		t.Errorf("Cache Len %d + Evictions %d != %d puts", c.Len(), c.Evictions(), n)
+	}
+	if _, ok := c.Get(key(n - 1)); !ok {
+		t.Error("the most recent key was evicted")
+	}
+	if _, ok := c.Get(key(0)); ok {
+		t.Error("the oldest key survived the byte bound")
+	}
+
+	s := NewShardedCache(0, 2)
+	for i := 0; i < n; i++ {
+		s.Put(key(i), Unsat, nil)
+	}
+	retained := 0
+	for i := range s.shards {
+		sh := s.shards[i].c
+		if sh.bytes > maxCacheKeyBytes/len(s.shards) {
+			t.Errorf("shard %d retains %d key bytes, its share is %d", i, sh.bytes, maxCacheKeyBytes/len(s.shards))
+		}
+		retained += sh.bytes
+	}
+	if retained > maxCacheKeyBytes {
+		t.Errorf("ShardedCache retains %d key bytes, ceiling %d", retained, maxCacheKeyBytes)
+	}
+	if s.Len() == 0 || s.Evictions() == 0 || s.Len()+int(s.Evictions()) != n {
+		t.Errorf("ShardedCache Len %d + Evictions %d, want %d puts with some evicted", s.Len(), s.Evictions(), n)
+	}
+
+	// A key longer than the whole ceiling is not stored, and evicts
+	// nothing on its way out.
+	small := newCache(4, 16)
+	small.Put("short", Unsat, nil)
+	if small.Put(strings.Repeat("x", 17), Unsat, nil) || small.Len() != 1 || small.bytes != len("short") {
+		t.Errorf("oversized key: Len %d, bytes %d", small.Len(), small.bytes)
 	}
 }

@@ -83,10 +83,14 @@ const DefaultWork = 1 << 22
 
 // budgetState meters solver work.  One unit is roughly one row
 // combination, candidate probe, or enumeration step; every potentially
-// super-linear loop spends from the shared pool.
+// super-linear loop spends from the shared pool.  overflowed records
+// that some branch of the search needed a row int64 cannot represent
+// (see shiftRow): the search was cut short there, so a failure to find
+// a model is undecided, not a proof of infeasibility.
 type budgetState struct {
-	work      int64
-	exhausted bool
+	work       int64
+	exhausted  bool
+	overflowed bool
 }
 
 // spend debits n units and reports whether work may continue.
@@ -148,7 +152,7 @@ func SolveWorkStats(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint sy
 	switch {
 	case ok:
 		return sol, Sat, stats
-	case budget.exhausted:
+	case budget.exhausted || budget.overflowed:
 		return nil, BudgetExhausted, stats
 	default:
 		return nil, Unsat, stats
@@ -401,6 +405,7 @@ func solveIntegers(preds []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint 
 	if len(preds) == 0 {
 		return map[symbolic.Var]int64{}, true
 	}
+	s := &intSolver{meta: meta, hint: hint, budget: maxNESplits, work: budget}
 	base := make([]cons, 0, len(preds))
 	var splits []*symbolic.Lin // NE constraints, split lazily
 
@@ -409,26 +414,28 @@ func solveIntegers(preds []symbolic.Pred, meta func(symbolic.Var) VarMeta, hint 
 			splits = append(splits, p.L)
 			continue
 		}
-		var c cons
+		var row *symbolic.Lin
+		ok := true
 		switch p.Rel {
 		case symbolic.EQ:
-			c = cons{l: p.L, eq: true}
+			base = append(base, cons{l: p.L, eq: true})
+			continue
 		case symbolic.LE:
-			c = cons{l: p.L}
+			row, ok = s.shiftRow(p.L, 0)
 		case symbolic.LT: // L < 0  ⇔  L + 1 ≤ 0 over ℤ
-			c = cons{l: shiftConst(p.L, 1)}
+			row, ok = s.shiftRow(p.L, 1)
 		case symbolic.GE: // L ≥ 0  ⇔  -L ≤ 0
-			c = cons{l: symbolic.Scale(p.L, -1)}
+			row, ok = s.shiftRow(symbolic.Scale(p.L, -1), 0)
 		case symbolic.GT: // L > 0  ⇔  -L + 1 ≤ 0
-			c = cons{l: shiftConst(symbolic.Scale(p.L, -1), 1)}
+			row, ok = s.shiftRow(symbolic.Scale(p.L, -1), 1)
 		}
-		if c.l == nil {
+		if !ok {
 			return nil, false
 		}
-		base = append(base, c)
+		if row != nil {
+			base = append(base, cons{l: row})
+		}
 	}
-
-	s := &intSolver{meta: meta, hint: hint, budget: maxNESplits, work: budget}
 	return s.search(base, splits)
 }
 
@@ -461,11 +468,38 @@ func evalHint(l *symbolic.Lin, hint symbolic.Vector) int64 {
 	return total
 }
 
+// shiftConst returns l + d, or nil when l is nil or the constant
+// overflows int64.
 func shiftConst(l *symbolic.Lin, d int64) *symbolic.Lin {
-	if l == nil {
+	if l == nil || d == 0 {
+		return l
+	}
+	k := l.Const + d
+	if (d > 0 && k < l.Const) || (d < 0 && k > l.Const) {
 		return nil
 	}
-	return &symbolic.Lin{Terms: l.Terms, Const: l.Const + d} // terms are immutable: share them
+	return &symbolic.Lin{Terms: l.Terms, Const: k} // terms are immutable: share them
+}
+
+// shiftRow builds the ≤-row l + d ≤ 0.  When the constant overflows and
+// l has no terms, the row is decided exactly: its true value lies beyond
+// int64 on d's side, so it holds when d < 0 (row nil, ok true: nothing
+// to add) and fails when d > 0 (ok false).  A row with terms cannot be
+// represented, so it fails and marks the solve undecided — the verdict
+// becomes BudgetExhausted, never Unsat.  A nil l (an overflow upstream)
+// fails as before.
+func (s *intSolver) shiftRow(l *symbolic.Lin, d int64) (row *symbolic.Lin, ok bool) {
+	if l == nil {
+		return nil, false
+	}
+	if row = shiftConst(l, d); row != nil {
+		return row, true
+	}
+	if l.IsConst() {
+		return nil, d < 0
+	}
+	s.work.overflowed = true
+	return nil, false
 }
 
 type intSolver struct {
@@ -503,16 +537,26 @@ func (s *intSolver) search(base []cons, splits []*symbolic.Lin) (map[symbolic.Va
 	rest := make([]*symbolic.Lin, 0, len(splits)-1)
 	rest = append(rest, splits[:i]...)
 	rest = append(rest, splits[i+1:]...)
-	negBranch := cons{l: shiftConst(l, 1)}                     // L < 0
-	posBranch := cons{l: shiftConst(symbolic.Scale(l, -1), 1)} // L > 0
-	first, second := negBranch, posBranch
-	if evalHint(l, s.hint) > 0 {
-		first, second = posBranch, negBranch
+	branch := func(side *symbolic.Lin) (map[symbolic.Var]int64, bool) {
+		row, ok := s.shiftRow(side, 1)
+		if !ok {
+			return nil, false
+		}
+		next := append([]cons{}, base...)
+		if row != nil {
+			next = append(next, cons{l: row})
+		}
+		return s.search(next, rest)
 	}
-	if sol, ok := s.search(append(append([]cons{}, base...), first), rest); ok {
+	neg, pos := l, symbolic.Scale(l, -1) // L < 0: L+1 ≤ 0;  L > 0: -L+1 ≤ 0
+	first, second := neg, pos
+	if evalHint(l, s.hint) > 0 {
+		first, second = pos, neg
+	}
+	if sol, ok := branch(first); ok {
 		return sol, true
 	}
-	return s.search(append(append([]cons{}, base...), second), rest)
+	return branch(second)
 }
 
 // solveCore decides a conjunction of equalities and ≤-inequalities.
@@ -573,13 +617,16 @@ func (s *intSolver) solveCore(all []cons) (map[symbolic.Var]int64, bool) {
 		// The pivot's own domain must still be honored after
 		// substitution: Lo ≤ expr ≤ Hi.
 		m := s.meta(pivot)
-		up := shiftConst(expr, -m.Hi) // expr - Hi ≤ 0
-		lo := symbolic.Scale(expr, -1)
-		if up == nil || lo == nil {
+		up, okUp := s.shiftRow(expr, -m.Hi)                    // expr - Hi ≤ 0
+		lo, okLo := s.shiftRow(symbolic.Scale(expr, -1), m.Lo) // Lo - expr ≤ 0
+		if !okUp || !okLo {
 			return nil, false
 		}
-		lo = shiftConst(lo, m.Lo) // Lo - expr ≤ 0
-		ineqs = append(ineqs, up, lo)
+		for _, r := range [2]*symbolic.Lin{up, lo} {
+			if r != nil {
+				ineqs = append(ineqs, r)
+			}
+		}
 		subs = append(subs, substitution{v: pivot, expr: expr})
 		replace := func(t *symbolic.Lin) *symbolic.Lin {
 			k := t.Coeff(pivot)

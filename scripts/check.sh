@@ -21,6 +21,12 @@ go test -count=1 -run 'TestServerLiveAudit' ./internal/ops/
 # jobs-independence with the cache on, and replayable random-mode bugs.
 go test -count=1 -run 'TestSolveCache|TestSlicingOnClusters|TestRandomBugsReplay' ./internal/concolic/
 go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
+# Solver overflow and cache bounds: a pivot's domain row that overflows
+# int64 must never turn a feasible system into Unsat (full-range
+# x − k == 0 is Sat with x = k; overflow with free terms is undecided),
+# and the solve cache must stay under its key-byte ceiling whatever the
+# key sizes, for both the per-search and the sharded cache.
+go test -count=1 -run 'TestShiftConst|TestCacheKeyBytesBound' ./internal/solver/
 # Solver oracle: fuzz small integer systems and check every verdict by
 # brute force — a Sat model must satisfy the system inside its domain
 # box, and an Unsat must have no witness there (Theorem 1(b) rests on
@@ -113,10 +119,14 @@ diff "$tmp/explain-w1.json" "$tmp/explain-w4.json"
 # (poisoned-run reuse, step-counter reset, narrow-store sign
 # extension), pooled reports must not alias machine state, and the
 # taint bitmap must skip the shadow on concrete runs without moving
-# the explain ledger.
+# the explain ledger.  The dense shadow S lives in slots beside the
+# cells and is never zeroed on remap, so no stale form may show through
+# a clear taint bit (ClearTaint, frame reuse, free, Reset), and the heap
+# region table must fault every bad free and count live regions.
 go test -count=1 -race -run 'TestCompiledMatchesInterp' .
 go test -count=1 -race -run 'TestBugsSurvivePooledReuse|TestConcreteSearchZeroShadowPhase|TestTaintSpreadExplainParity' .
-go test -count=1 -run 'TestNarrowStoreParity|TestResetClearsStepCounter|TestResetAfterPoisonedRun|TestBranchSnapshotDetachedFromPool|TestConcreteRunSkipsShadow|TestCompiledErrorMessagesMatchInterp|TestCompile' ./internal/machine/
+go test -count=1 -run 'TestNarrowStoreParity|TestResetClearsStepCounter|TestResetAfterPoisonedRun|TestResetDropsShadow|TestBranchSnapshotDetachedFromPool|TestConcreteRunSkipsShadow|TestCompiledErrorMessagesMatchInterp|TestCompile' ./internal/machine/
+go test -count=1 -run 'TestStaleShadowInvisible|TestFreeFaults|TestLiveRegions' ./internal/mem/
 # CLI: -xcheck runs both engines back to back and exits nonzero on any
 # signature divergence.
 go run ./cmd/dart -xcheck -top blend "$tmp/explain.mc"
